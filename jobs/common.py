@@ -1,7 +1,7 @@
 """Shared spark-submit plumbing for table jobs.
 
 Each job can run standalone (``spark-submit jobs/tableN.py --sf 0.5``)
-or be driven programmatically from tests/benchmarks via the functions
+or be driven programmatically from tests via the functions
 in ``repro.experiments``.
 """
 from __future__ import annotations
@@ -9,20 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
+from repro.spark import get_spark  # noqa: F401  (re-exported for the jobs)
 
 
 def table_args(description: str, *, sf: float, cost_scale: float) -> argparse.Namespace:

@@ -10,10 +10,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from common import get_spark
 
 from repro.core import LOVO
-from repro.experiments.tables import job_config
+from repro.experiments.tables import _k_for, job_config
 from repro.queries.workload import query_by_id
 from repro.video.generator import generate_dataset
-from repro.video.groundtruth import evaluate_ranking, gt_objects_pdf
+from repro.video.groundtruth import evaluate_ranking
 from repro.video.scenes import profile
 
 
@@ -29,8 +29,7 @@ def main():
     patches = generate_dataset(spark, profile(query.dataset, args.sf)).persist()
     system = LOVO(spark, job_config())
     system.build(patches)
-    gt = gt_objects_pdf(patches, query)
-    k = max(10, min(10 * gt["track_id"].nunique(), 150))
+    k, gt = _k_for(patches, query)
     res = system.query(query, variant=args.variant, use_rerank=not args.no_rerank, k=k)
     ev = evaluate_ranking(res.results, gt)
     print(f"\n{query.qid}: {query.text!r} [{args.variant}, rerank={not args.no_rerank}]")

@@ -13,7 +13,7 @@ compute sits — index time vs. query time (Table III, Fig. 8).
            attention.
 * VISA   — LLM-based reasoning segmentation: sequential per-frame pass.
 """
-from repro.baselines.base import Baseline, BaselineResult
+from repro.baselines.base import Baseline
 from repro.baselines.vocal import Vocal
 from repro.baselines.miris import Miris
 from repro.baselines.figo import Figo
@@ -23,7 +23,6 @@ from repro.baselines.visa import Visa
 
 __all__ = [
     "Baseline",
-    "BaselineResult",
     "Vocal",
     "Miris",
     "Figo",

@@ -1,24 +1,12 @@
 """Shared baseline scaffolding."""
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.config import LOVOConfig
-from repro.core.metrics import RankedResult
+from repro.core.metrics import QueryResult
 from repro.vocab.encoders import CostModel
 from repro.vocab.vocabulary import Vocabulary
-
-
-@dataclass
-class BaselineResult:
-    """Ranked detections + phase latency for one baseline query."""
-
-    qid: str
-    results: list[RankedResult]
-    search_time: float
 
 
 class Baseline:
@@ -26,7 +14,8 @@ class Baseline:
 
     ``process`` is the offline/ingest phase (may be a no-op for pure
     QD-search systems) and returns its wall-clock seconds; ``query``
-    answers one workload query. Baselines reuse LOVOConfig's noise
+    answers one workload query with a ``QueryResult`` whose ``fast_time``
+    is the whole query time. Baselines reuse LOVOConfig's noise
     parameters so every system perceives the same synthetic world, and
     its ``cost_scale`` so measured times are comparable.
     """
@@ -45,13 +34,5 @@ class Baseline:
         self.patches = patches
         return 0.0
 
-    def query(self, query, *, k: int = 50) -> BaselineResult:
+    def query(self, query, *, k: int = 50) -> QueryResult:
         raise NotImplementedError
-
-    # -- helpers ----------------------------------------------------------
-    @staticmethod
-    def timed(fn):
-        """Run ``fn()`` and return (result, seconds)."""
-        t0 = time.perf_counter()
-        out = fn()
-        return out, time.perf_counter() - t0

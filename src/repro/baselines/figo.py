@@ -13,9 +13,9 @@ import time
 
 from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
+from repro.baselines.base import Baseline
 from repro.baselines.qdscan import qd_scan
-from repro.core.metrics import RankedResult
+from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 
 
@@ -26,7 +26,7 @@ class Figo(Baseline):
     proxy_cost = 0.25
     proxy_recall = 0.9
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
+    def query(self, query: Query, *, k: int = 50) -> QueryResult:
         t0 = time.perf_counter()
         # stage 1: cheap proxy over every frame — selects candidate frames
         class_tags = [F.lit(t) for t in query.class_tags]
@@ -44,22 +44,7 @@ class Figo(Baseline):
         self.cost.burn("detector_frame", self.proxy_cost * n_all)
         # stage 2: accurate detector on candidate frames only
         selected = self.patches.join(cand, ["video_id", "frame_idx"], "left_semi")
-        hits = (
-            qd_scan(
-                selected,
-                query,
-                self.cost,
-                cost_field="detector_frame",
-                p_det=0.9,
-                attr_recall=0.8,
-                seed=self.cfg.seed + 1,
-            )
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
+        hits = qd_scan(
+            selected, query, self.cost, p_det=0.9, attr_recall=0.8, seed=self.cfg.seed + 1
         )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)

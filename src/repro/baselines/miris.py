@@ -11,36 +11,19 @@ from __future__ import annotations
 
 import time
 
-from pyspark.sql import functions as F
-
-from repro.baselines.base import Baseline, BaselineResult
+from repro.baselines.base import Baseline
 from repro.baselines.qdscan import qd_scan
-from repro.core.metrics import RankedResult
+from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 
 
 class Miris(Baseline):
     name = "miris"
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
+    def query(self, query: Query, *, k: int = 50) -> QueryResult:
         t0 = time.perf_counter()
         self.cost.burn("detector_setup", 1.0)  # per-query plan + tuning
-        hits = (
-            qd_scan(
-                self.patches,
-                query,
-                self.cost,
-                cost_field="detector_frame",
-                p_det=0.85,
-                attr_recall=0.7,
-                seed=self.cfg.seed,
-            )
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
+        hits = qd_scan(
+            self.patches, query, self.cost, p_det=0.85, attr_recall=0.7, seed=self.cfg.seed
         )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)

@@ -10,7 +10,7 @@ time*. The simulated detector:
 * is blind to spatial/behavioural relations (§II: "struggle with
   queries that require spatial relationships") — relation tags do not
   contribute to the score;
-* burns ``cost_field`` units per frame scanned, so query latency grows
+* burns one ``detector_frame`` unit per frame scanned, so query latency grows
   with video length — the QD-search scalability failure (Fig. 10).
 
 Ranking score = matched-attribute fraction + detector confidence noise.
@@ -42,8 +42,6 @@ def qd_scan(
     query: Query,
     cost: CostModel,
     *,
-    cost_field: str = "detector_frame",
-    cost_items_per_frame: float = 1.0,
     p_det: float = 0.85,
     attr_recall: float = 0.8,
     seed: int = 0,
@@ -58,7 +56,7 @@ def qd_scan(
             if not len(pdf):
                 continue
             n_frames = pdf[["video_id", "frame_idx"]].drop_duplicates().shape[0]
-            cost.burn(cost_field, cost_items_per_frame * n_frames)
+            cost.burn("detector_frame", n_frames)
             out = []
             objs = pdf[pdf["is_object"]]
             for pid, vid, fid, tags, bbox in zip(

@@ -15,7 +15,6 @@ A training-domain bias penalises non-daily-life footage.
 from __future__ import annotations
 
 import time
-
 import zlib
 
 import numpy as np
@@ -23,9 +22,9 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
+from repro.baselines.base import Baseline
 from repro.baselines.zelda import frame_features
-from repro.core.metrics import RankedResult
+from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 
 
@@ -58,13 +57,12 @@ class Umt(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
+    def query(self, query: Query, *, k: int = 50) -> QueryResult:
         t0 = time.perf_counter()
         q = self.vocab.embed_tags(list(query.tags))
         cost = self.cost
         daily = self.daily_life
         seed = self.cfg.seed
-        bq = self.spark.sparkContext.broadcast(q)
         qsalt = zlib.crc32(query.qid.encode())
 
         def _attend(batches):
@@ -77,7 +75,7 @@ class Umt(Baseline):
                     pdf["video_id"], pdf["clip_idx"], pdf["embs"], pdf["fids"], pdf["boxes"]
                 ):
                     X = np.stack([np.asarray(e) for e in embs])
-                    sims = X @ bq.value
+                    sims = X @ q
                     best = int(np.argmax(sims))
                     rng = np.random.default_rng([seed, qsalt, int(vid), int(cid)])
                     # domain bias: the model was trained on daily-life
@@ -90,12 +88,5 @@ class Umt(Baseline):
         hits = (
             self.clips.coalesce(1)  # one transformer instance = one GPU
             .mapInPandas(_attend, schema=schema)
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
         )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)

@@ -19,10 +19,9 @@ import zlib
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
-from repro.core.metrics import RankedResult
+from repro.baselines.base import Baseline
+from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 from repro.vocab.encoders import _stable_rng
 
@@ -68,7 +67,7 @@ class Visa(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
+    def query(self, query: Query, *, k: int = 50) -> QueryResult:
         t0 = time.perf_counter()
         cost = self.cost
         qtags = list(query.tags)
@@ -120,12 +119,5 @@ class Visa(Baseline):
             )
             .coalesce(1)  # sequential LLM token generation: one instance
             .mapInPandas(_reason, schema=schema)
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
         )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)

@@ -18,8 +18,8 @@ import time
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline, BaselineResult
-from repro.core.metrics import RankedResult
+from repro.baselines.base import Baseline
+from repro.core.metrics import QueryResult, RankedResult
 from repro.queries.workload import Query
 from repro.vocab.vocabulary import MSCOCO_CLASSES, tag_name
 
@@ -54,7 +54,7 @@ class Vocal(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
+    def query(self, query: Query, *, k: int = 50) -> QueryResult:
         t0 = time.perf_counter()
         head = query.class_tags[0] if query.class_tags else None
         rows = []
@@ -74,4 +74,4 @@ class Vocal(Baseline):
                 )
                 for r in hits
             ]
-        return BaselineResult(query.qid, rows, time.perf_counter() - t0)
+        return QueryResult(query.qid, rows, time.perf_counter() - t0)

@@ -16,11 +16,10 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.baselines.base import Baseline, BaselineResult
-from repro.core.metrics import RankedResult
+from repro.baselines.base import Baseline
+from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 from repro.vocab.encoders import CoarseTextEncoder, perceived_track_tags
 from repro.vocab.vocabulary import Vocabulary
@@ -35,9 +34,7 @@ FRAME_SCHEMA = T.StructType(
 )
 
 
-def frame_features(
-    patches: DataFrame, cfg, cost, *, cost_field: str, noise_scale: float = 1.0
-) -> DataFrame:
+def frame_features(patches: DataFrame, cfg, cost, *, cost_field: str) -> DataFrame:
     """Global per-frame embeddings: area-weighted tag sums + noise.
 
     The largest object's box is carried along as the frame's salient
@@ -73,7 +70,7 @@ def frame_features(
             acc = acc / n
         rng = np.random.default_rng([cfg.seed, 7, int(key[0]), int(key[1])])
         d = rng.standard_normal(cfg.dim)
-        d *= noise_scale * cfg.visual_noise / max(np.linalg.norm(d), 1e-12)
+        d *= cfg.visual_noise / max(np.linalg.norm(d), 1e-12)
         acc = acc + d
         acc /= max(np.linalg.norm(acc), 1e-12)
         return pd.DataFrame(
@@ -102,11 +99,10 @@ class Zelda(Baseline):
         self.processing_time = time.perf_counter() - t0
         return self.processing_time
 
-    def query(self, query: Query, *, k: int = 50) -> BaselineResult:
+    def query(self, query: Query, *, k: int = 50) -> QueryResult:
         t0 = time.perf_counter()
         enc = CoarseTextEncoder(self.vocab, rel_weight=0.3)
         q = enc.encode(list(query.tags))
-        bq = self.spark.sparkContext.broadcast(q)
 
         def _score(batches):
             for pdf in batches:
@@ -117,20 +113,11 @@ class Zelda(Baseline):
                     {
                         "video_id": pdf["video_id"],
                         "frame_idx": pdf["frame_idx"],
-                        "big_bbox": pdf["big_bbox"],
-                        "score": X @ bq.value,
+                        "bbox": pdf["big_bbox"],
+                        "score": X @ q,
                     }
                 )
 
-        schema = "video_id int, frame_idx int, big_bbox array<double>, score double"
-        hits = (
-            self.frames.mapInPandas(_score, schema=schema)
-            .orderBy(F.desc("score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(k)
-            .collect()
-        )
-        results = [
-            RankedResult(r["video_id"], r["frame_idx"], tuple(r["big_bbox"]), float(r["score"]))
-            for r in hits
-        ]
-        return BaselineResult(query.qid, results, time.perf_counter() - t0)
+        schema = "video_id int, frame_idx int, bbox array<double>, score double"
+        hits = self.frames.mapInPandas(_score, schema=schema)
+        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)

@@ -1,7 +1,7 @@
 """LOVO core: video summary → vector index → two-stage query (Alg. 2)."""
 from repro.core.config import LOVOConfig
-from repro.core.metrics import iou, average_precision, RankedResult, EvalReport
-from repro.core.pipeline import LOVO, QueryResult
+from repro.core.metrics import iou, average_precision, RankedResult, EvalReport, QueryResult
+from repro.core.pipeline import LOVO
 
 __all__ = [
     "LOVOConfig",

@@ -1,16 +1,21 @@
-"""Evaluation metrics: IoU and Average Precision (§VII-A).
+"""Query results and evaluation metrics: IoU and Average Precision (§VII-A).
 
 A retrieved box is a positive match when its intersection-over-union
 with a ground-truth box exceeds 0.5 (MSCOCO convention); AveP is the
 area under the precision–recall curve computed over the ranked result
 list, i.e. the mean of precision@rank over true-positive ranks, divided
 by the number of ground-truth objects.
+
+Every system, LOVO and each baseline, answers a query with one
+``QueryResult``: its ``RankedResult`` list and the phase latencies.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -21,6 +26,41 @@ class RankedResult:
     frame_idx: int
     bbox: tuple[float, float, float, float]
     score: float
+
+
+@dataclass
+class QueryResult:
+    """Ranked detections plus per-phase latency for one query.
+
+    A baseline has a single phase and reports its whole query time as
+    ``fast_time``.
+    """
+
+    qid: str
+    results: list[RankedResult]
+    fast_time: float
+    rerank_time: float = 0.0
+
+    @property
+    def search_time(self) -> float:
+        return self.fast_time + self.rerank_time
+
+
+def top_ranked(hits: DataFrame, k: int, *, score: str = "score") -> list[RankedResult]:
+    """The ``k`` best ``hits`` rows by ``score`` as ranked results.
+
+    ``hits`` has ``video_id``, ``frame_idx``, ``bbox`` and the score
+    column; ties are broken by ``(video_id, frame_idx)``.
+    """
+    rows = (
+        hits.orderBy(F.desc(score), F.asc("video_id"), F.asc("frame_idx"))
+        .limit(k)
+        .collect()
+    )
+    return [
+        RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r[score]))
+        for r in rows
+    ]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.config import LOVOConfig
+from repro.core.metrics import QueryResult, RankedResult, top_ranked
 from repro.core.rerank import rerank_frames
 from repro.core.summary import encode_patches, keyframe_patches
 from repro.index.hnsw import build_hnsw_shards, search_hnsw
@@ -24,7 +25,6 @@ from repro.index.ivf import build_index
 from repro.index.search_bf import search_bf
 from repro.index.search_ivfpq import search_ivfpq
 from repro.queries.workload import Query
-from repro.core.metrics import RankedResult
 from repro.video.generator import frames_df
 from repro.video.keyframe import select_keyframes
 from repro.vocab.encoders import CoarseTextEncoder
@@ -46,20 +46,6 @@ class BuildReport:
     @property
     def total_time(self) -> float:
         return self.processing_time + self.index_time
-
-
-@dataclass
-class QueryResult:
-    """Ranked detections plus per-phase latency for one query."""
-
-    qid: str
-    results: list[RankedResult]
-    fast_time: float
-    rerank_time: float = 0.0
-
-    @property
-    def search_time(self) -> float:
-        return self.fast_time + self.rerank_time
 
 
 class LOVO:
@@ -184,22 +170,12 @@ class LOVO:
             return QueryResult(query.qid, [], fast_time=t1 - t0)
         cand = self.spark.createDataFrame(frames, "video_id int, frame_idx int")
         frame_patches = self.store.meta.join(F.broadcast(cand), ["video_id", "frame_idx"])
-        ranked = (
-            rerank_frames(frame_patches, query, self.cfg)
-            .orderBy(F.desc("rerank_score"), F.asc("video_id"), F.asc("frame_idx"))
-            .limit(self.cfg.n if self.cfg.n else len(frames))
-            .collect()
+        results = top_ranked(
+            rerank_frames(frame_patches, query, self.cfg),
+            self.cfg.n or len(frames),
+            score="rerank_score",
         )
         t2 = time.perf_counter()
-        results = [
-            RankedResult(
-                video_id=r["video_id"],
-                frame_idx=r["frame_idx"],
-                bbox=tuple(r["bbox"]),
-                score=float(r["rerank_score"]),
-            )
-            for r in ranked
-        ]
         return QueryResult(
             query.qid, results, fast_time=t1 - t0, rerank_time=t2 - t1
         )

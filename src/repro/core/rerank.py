@@ -81,17 +81,6 @@ def enhance(
     return Xi @ Xt.T  # (n_image_tokens, n_text_tokens)
 
 
-def cross_attention_score(
-    X_I: np.ndarray, X_T: np.ndarray, *, mix: float = 0.5, temp: float = 12.0
-) -> tuple[float, int]:
-    """Frame score ``l_s`` + globally best image-token row (Alg. 2 line 6)."""
-    S = enhance(X_I, X_T, mix=mix, temp=temp)
-    per_text_best = S.max(axis=0)  # each concept's best match in the frame
-    score = float(per_text_best.mean())
-    best_row = int(S.mean(axis=1).argmax())
-    return score, best_row
-
-
 def decode_best_patch(S: np.ndarray, owners: list[int]) -> int:
     """Decoder (§VI-B): the patch whose tokens best cover the query.
 

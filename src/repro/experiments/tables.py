@@ -167,16 +167,10 @@ def run_table3(
             stimes, aveps = [], []
             for q in qs:
                 k, gt = _k_for(patches, q)
-                if name == "LOVO":
-                    r = sysm.query(q, k=k)
-                    stimes.append(r.search_time)
-                    res = r.results
-                else:
-                    r = sysm.query(q, k=k)
-                    stimes.append(r.search_time)
-                    res = r.results
+                r = sysm.query(q, k=k)
+                stimes.append(r.search_time)
                 if with_accuracy:
-                    aveps.append(evaluate_ranking(res, gt).avep)
+                    aveps.append(evaluate_ranking(r.results, gt).avep)
             search = sum(stimes) / len(stimes)
             row = {
                 "Method": name,

@@ -158,14 +158,13 @@ def search_hnsw(
     shards: DataFrame, meta: DataFrame, q: np.ndarray, *, k: int = 50, ef: int = 64
 ) -> DataFrame:
     """Search every shard graph in parallel, merge, attach metadata."""
-    spark = shards.sparkSession
-    bq = spark.sparkContext.broadcast(np.asarray(q, dtype=np.float64))
+    qv = np.asarray(q, dtype=np.float64)  # ships with the task closure
 
     def _search(batches):
         for pdf in batches:
             for blob in pdf["blob"]:
                 g: HNSWGraph = pickle.loads(bytes(blob))
-                hits = g.search(bq.value, k, ef=ef)
+                hits = g.search(qv, k, ef=ef)
                 if hits:
                     yield pd.DataFrame(
                         {"patch_id": [h[0] for h in hits],

@@ -29,11 +29,9 @@ def score_vectors(vectors: DataFrame, q: np.ndarray, cost=None) -> DataFrame:
     candidates — the latency asymmetry behind the paper's w/o-ANNS
     ablation, which Spark overhead alone would mask at small scale.
     """
-    spark = vectors.sparkSession
-    bq = spark.sparkContext.broadcast(np.asarray(q, dtype=np.float64))
+    qv = np.asarray(q, dtype=np.float64)  # ships with the task closure
 
     def _score(batches):
-        qv = bq.value
         for pdf in batches:
             if not len(pdf):
                 continue
@@ -50,6 +48,11 @@ def score_vectors(vectors: DataFrame, q: np.ndarray, cost=None) -> DataFrame:
 
 
 def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
-    """Exact top-k hits with metadata attached, sorted by descending score."""
-    topk = score_vectors(store.vectors, q, cost).orderBy(F.desc("score")).limit(k)
-    return topk.join(store.meta, "patch_id").orderBy(F.desc("score"))
+    """Exact top-k hits with metadata attached, sorted by descending score.
+
+    Score ties are broken by ascending ``patch_id``, as in the IVF-PQ and
+    HNSW paths, so the answer does not depend on partitioning.
+    """
+    order = [F.desc("score"), F.asc("patch_id")]
+    topk = score_vectors(store.vectors, q, cost).orderBy(*order).limit(k)
+    return topk.join(store.meta, "patch_id").orderBy(*order)

@@ -41,7 +41,9 @@ class TestEveryBaseline:
         assert len(r.results) <= 15
 
     def test_search_time_positive(self, processed, name):
-        assert processed[name].query(query_by_id("Q2.1"), k=10).search_time > 0
+        r = processed[name].query(query_by_id("Q2.1"), k=10)
+        assert r.results
+        assert r.search_time > 0
 
     def test_boxes_valid(self, processed, name):
         for x in processed[name].query(query_by_id("Q2.3"), k=15).results:

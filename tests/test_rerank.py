@@ -6,7 +6,6 @@ from pyspark.sql import functions as F
 from repro.core.rerank import (
     _normalize,
     _softmax,
-    cross_attention_score,
     decode_best_patch,
     enhance,
     rerank_frames,
@@ -90,13 +89,6 @@ class TestEnhance:
             enhance(with_rel, X_T).max(axis=0).mean()
             > enhance(without_rel, X_T).max(axis=0).mean()
         )
-
-    def test_cross_attention_score_returns_row(self, vocab):
-        X_I, owners = _frame_tokens(vocab, [["class:bus", "attr:green"]])
-        X_T = FineTextEncoder(vocab).encode_tokens(["class:bus", "attr:green"])
-        score, row = cross_attention_score(X_I, X_T)
-        assert 0 <= row < len(X_I)
-        assert -1.0 <= score <= 1.0
 
 
 class TestDecodeBestPatch:

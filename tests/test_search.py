@@ -6,6 +6,7 @@ from pyspark.sql import functions as F
 from repro.index.hnsw import build_hnsw_shards, search_hnsw
 from repro.index.search_bf import score_vectors, search_bf
 from repro.index.search_ivfpq import _lut_frames, search_ivfpq
+from repro.index.store import VectorStore
 from repro.oracle import assert_equivalent
 from repro.queries.workload import query_by_id
 from tests.conftest import TEST_CFG
@@ -62,6 +63,25 @@ class TestBruteForce:
         row = search_bf(system.store, qvec, k=5).collect()[0]
         for col in ("video_id", "frame_idx", "tags", "pred_bbox"):
             assert col in row.asDict()
+
+    @pytest.mark.parametrize("partitions", [1, 8])
+    def test_score_ties_broken_by_patch_id(self, spark, partitions):
+        """Identical embeddings rank lower patch_id first, however Spark partitions."""
+        tied = list(range(40, 0, -1))  # input order is the reverse of the answer
+        rows = [(i, [1.0, 0.0]) for i in tied] + [(100, [0.6, 0.8]), (0, [0.0, 1.0])]
+        store = VectorStore(
+            components=None,
+            vectors=spark.createDataFrame(rows, "patch_id long, embedding array<double>")
+            .repartition(4),
+            meta=spark.createDataFrame([(r[0], 0) for r in rows], "patch_id long, video_id int"),
+        )
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
+        spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
+        try:
+            got = [r["patch_id"] for r in search_bf(store, np.array([1.0, 0.0]), k=10).collect()]
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
+        assert got == list(range(1, 11))
 
 
 class TestIVFPQ:
