@@ -88,15 +88,13 @@ def decode_best_patch(S: np.ndarray, owners: list[int]) -> int:
     the matches are averaged — so the output box comes from the object
     that satisfies the *whole* query, not from whichever single token is
     globally hottest (a frame can contain a better-matching token on the
-    wrong object).
+    wrong object). Ties go to the patch seen first in ``owners``.
     """
-    best_patch, best_score = owners[0], -np.inf
-    for pid in dict.fromkeys(owners):  # preserves first-seen order
-        rows = [i for i, o in enumerate(owners) if o == pid]
-        s = float(S[rows].max(axis=0).mean())
-        if s > best_score:
-            best_patch, best_score = pid, s
-    return best_patch
+    ids, first, inv = np.unique(owners, return_index=True, return_inverse=True)
+    best = np.full((len(ids), S.shape[1]), -np.inf)
+    np.maximum.at(best, inv, S)  # per-owner max over its token rows
+    seen = np.argsort(first)  # owners in first-seen order
+    return int(ids[seen[np.argmax(best.mean(axis=1)[seen])]])
 
 
 def rerank_frames(

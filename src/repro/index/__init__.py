@@ -3,8 +3,9 @@
 Replaces Milvus (§V) with Spark-native storage and search: codebooks are
 trained on a driver-side sample (standard IVF-PQ practice), code
 assignment and inverted-list construction run as DataFrame jobs, and
-Algorithm 1's search is expressed as Catalyst joins against broadcast
-lookup tables. Three search variants back the paper's Table V:
+Algorithm 1's search reads only the top-A inverted lists (one filter)
+and votes over them in driver-side numpy. Three search variants back
+the paper's Table V:
 brute-force (BF), quantisation-based inverted indexing (IVF-PQ) and
 shard-parallel graph search (HNSW).
 """

@@ -1,58 +1,72 @@
 """Algorithm 1 — Approximate Nearest Neighbor Search over the multi-index.
 
-Maps the paper's pseudocode onto Catalyst operations:
+One fast search is three Spark reads of the cached index tables; the
+maths between them runs in driver-side numpy over at most P·A inverted
+lists, the IVFADC scheme of Jégou et al. (TPAMI 2011) over the inverted
+multi-index of Babenko & Lempitsky (CVPR 2012):
 
-  lines 1–7   (centroid scoring, Top-A clusters per subspace) — driver
-              numpy over the broadcast codebooks; the selected
-              ``(p, cluster)`` pairs with their scores form a tiny
-              DataFrame that is broadcast-joined against the inverted
-              lists (the "cluster queried" step);
-  lines 8–11  (residual-refined approximate scores) — a second broadcast
-              join against the residual lookup table, giving
-              ``s ≈ s(q_p, c_coarse) + q_p·r``;
-  line 12     (per-subspace top-k) — a window rank over subspaces;
-  line 16     (patch-id majority vote across subspace components) — a
-              groupBy counting in how many subspaces each patch
-              survived; candidates are ranked by (votes, approx score);
-  lines 13–15, 17 (exact rescore + final sort) — join the k survivors
-              back to the stored vectors and compute q·x exactly.
+  lines 1–7   (centroid scoring, Top-A clusters per subspace) — numpy
+              over the codebooks, giving the P·A list keys
+              ``p·k_coarse + cluster``;
+  postings    one ``IN`` filter on that key over ``components`` reads
+              only the selected lists (with more than 10 keys Spark plans
+              an ``InSet``, whose generated code is reused across queries);
+  lines 8–11  (residual-refined approximate scores) — the ADC lookup
+              ``s ≈ s(q_p, c_coarse) + q_p·r``, two numpy gathers;
+  line 12     (per-subspace top-k′) — by descending approx score, ties
+              broken by ascending ``patch_id``;
+  line 16     (patch-id majority vote across subspace components) — count
+              and summed approx score per patch; the shortlist is ranked
+              by (votes, summed score, ``patch_id``);
+  lines 13–15, 17 (exact rescore + final sort) — ``patch_id IN`` reads
+              of the shortlisted ``vectors`` and ``meta`` rows, q·x in
+              numpy, final top-k by (score, ``patch_id``).
 
-The two lookup tables are O(P·A) and O(P·k_r) rows, so broadcasting
-them is the distributed analogue of the paper's in-memory LUT; the
-postings scan itself stays a shuffle-side join over the inverted lists.
+No join, window, groupBy or global sort runs in Spark, so the answer
+does not depend on how the tables are partitioned.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.index.pq import PQQuantizer
-from repro.index.search_bf import score_vectors
 from repro.index.store import VectorStore
 
 
-def _lut_frames(quant: PQQuantizer, q: np.ndarray, top_a: int):
-    """Driver-side LUTs: Top-A coarse clusters and the full residual table."""
-    clut = quant.coarse_lut(q)  # (P, k_coarse)
-    rlut = quant.residual_lut(q)  # (P, k_residual)
-    P, kc = clut.shape
-    a = min(top_a, kc)
-    rows = []
-    for p in range(P):
-        top = np.argsort(-clut[p])[:a]
-        rows += [(p, int(c), float(clut[p, c])) for c in top]
-    top_a_pdf = pd.DataFrame(rows, columns=["p", "cluster", "cscore"])
-    kr = rlut.shape[1]
-    rl = pd.DataFrame(
-        {
-            "p": np.repeat(np.arange(P), kr).astype(int),
-            "rcode": np.tile(np.arange(kr), P).astype(int),
-            "rscore": rlut.reshape(-1),
-        }
-    )
-    return top_a_pdf, rl
+def _isin(col: str, values: list[int]) -> Column:
+    """``col IN (values)`` in one py4j call; ``Column.isin`` makes one per literal."""
+    return F.expr(f"{col} IN ({','.join(map(str, values))})") if values else F.lit(False)
+
+
+def top_a_clusters(clut: np.ndarray, top_a: int) -> np.ndarray:
+    """Lines 1–7: the ``top_a`` best coarse clusters per subspace, (P, A).
+
+    ``top_a`` above ``k_coarse`` is clamped to every list.
+    """
+    return np.argsort(-clut, axis=1)[:, :top_a]
+
+
+def vote(
+    p: np.ndarray, patch_id: np.ndarray, approx: np.ndarray, kp: int, n: int
+) -> pd.DataFrame:
+    """Lines 12 and 16 over posting rows: per-subspace top-``kp``, then vote.
+
+    Returns the ``n`` best patches by (desc votes, desc summed approx,
+    asc patch_id), in that order, with columns patch_id, votes, approx_sum.
+    """
+    order = np.lexsort((patch_id, -approx, p))
+    p, patch_id, approx = p[order], patch_id[order], approx[order]
+    rank = np.arange(len(p)) - np.searchsorted(p, p)  # position within subspace
+    keep = rank < kp
+    ids, inv = np.unique(patch_id[keep], return_inverse=True)
+    votes = np.bincount(inv, minlength=len(ids))
+    sums = np.bincount(inv, weights=approx[keep], minlength=len(ids))
+    best = np.lexsort((ids, -sums, -votes))[:n]
+    return pd.DataFrame({"patch_id": ids[best], "votes": votes[best], "approx_sum": sums[best]})
 
 
 def search_ivfpq(
@@ -66,7 +80,7 @@ def search_ivfpq(
     rescore_factor: int = 4,
     cost=None,
 ) -> DataFrame:
-    """Top-k hits (with metadata) via the inverted multi-index.
+    """Top-k hits (meta columns plus ``score`` and ``votes``) via the multi-index.
 
     ``per_subspace_k`` bounds how many components survive line 12 per
     subspace; defaults to ``8·k`` so the union across P subspaces keeps
@@ -75,51 +89,34 @@ def search_ivfpq(
     exact rescore (lines 13–15), so approximation error in the ADC
     scores cannot evict true top-k members — the standard IVF-PQ
     candidate-oversampling refinement.
+    ``cost`` charges ``ann_scan_vector`` units on the driver: 1/P of a
+    vector per posting read (a doubled index, Table IV w/o key frames,
+    doubles it) plus one per shortlisted vector rescored exactly.
     """
-    spark = store.components.sparkSession
     q = np.asarray(q, dtype=np.float64)
     kp = per_subspace_k or 8 * k
-    top_a_pdf, rlut_pdf = _lut_frames(quant, q, top_a)
-
-    cand = (
-        store.components.join(F.broadcast(spark.createDataFrame(top_a_pdf)), ["p", "cluster"])
-        .join(F.broadcast(spark.createDataFrame(rlut_pdf)), ["p", "rcode"])
-        .withColumn("approx", F.col("cscore") + F.col("rscore"))
-    )
+    clut, rlut = quant.coarse_lut(q), quant.residual_lut(q)
+    P, kc = clut.shape
+    keys = (np.arange(P)[:, None] * kc + top_a_clusters(clut, top_a)).ravel().tolist()
+    post = store.components.filter(_isin(f"p * {kc} + cluster", keys)).toPandas()
+    p = post["p"].to_numpy()
+    approx = clut[p, post["cluster"].to_numpy()] + rlut[p, post["rcode"].to_numpy()]
+    short = vote(p, post["patch_id"].to_numpy(), approx, kp, k * rescore_factor)
     if cost is not None:
-        # ADC table lookups are cheap but not free: burn per candidate
-        # *component* (1/P of a vector), so scan cost grows with the
-        # inverted lists actually visited — a doubled index (w/o key
-        # frames, Table IV) doubles it, while staying far below the
-        # full-scan cost of search_bf.
-        P = quant.n_subspaces
+        cost.burn("ann_scan_vector", len(post) / P + len(short))
 
-        def _burn_rows(batches):
-            for pdf in batches:
-                if len(pdf):
-                    cost.burn("ann_scan_vector", len(pdf) / P)
-                yield pdf
-
-        cand = cand.mapInPandas(_burn_rows, schema=cand.schema)
-    w = Window.partitionBy("p").orderBy(F.desc("approx"), F.asc("patch_id"))
-    survivors = cand.withColumn("rank", F.row_number().over(w)).filter(
-        F.col("rank") <= kp
+    ids = short["patch_id"].tolist()
+    vec = store.vectors.filter(_isin("patch_id", ids)).toPandas()
+    meta = store.meta.filter(_isin("patch_id", ids)).toPandas()
+    scores = np.stack(vec["embedding"].to_numpy()) @ q if len(vec) else np.zeros(0)
+    hits = (
+        meta.merge(pd.DataFrame({"patch_id": vec["patch_id"], "score": scores}), on="patch_id")
+        .merge(short[["patch_id", "votes"]], on="patch_id")
+        .sort_values(["score", "patch_id"], ascending=[False, True])
+        .head(k)
     )
-    voted = survivors.groupBy("patch_id").agg(
-        F.count("*").alias("votes"), F.sum("approx").alias("approx_sum")
+    schema = T.StructType(
+        store.meta.schema.fields
+        + [T.StructField("score", T.DoubleType()), T.StructField("votes", T.LongType())]
     )
-    shortlist = voted.orderBy(
-        F.desc("votes"), F.desc("approx_sum"), F.asc("patch_id")
-    ).limit(k * rescore_factor)
-
-    # exact rescore touches only the shortlist, so the per-vector scan
-    # cost (see score_vectors) stays O(k·rescore_factor), not O(N)
-    exact = score_vectors(
-        store.vectors.join(shortlist.select("patch_id", "votes"), "patch_id"), q, cost
-    )
-    return (
-        exact.join(shortlist.select("patch_id", "votes"), "patch_id")
-        .join(store.meta, "patch_id")
-        .orderBy(F.desc("score"), F.asc("patch_id"))
-        .limit(k)
-    )
+    return store.meta.sparkSession.createDataFrame(hits[schema.names], schema)

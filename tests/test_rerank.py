@@ -28,6 +28,17 @@ def _tok(vocab, tag, rng, noise=0.4):
     return v / np.linalg.norm(v)
 
 
+def _decode_best_patch_loop(S, owners):
+    """Reference decoder: the original per-owner Python loop (first seen wins ties)."""
+    best_patch, best_score = owners[0], -np.inf
+    for pid in dict.fromkeys(owners):  # preserves first-seen order
+        rows = [i for i, o in enumerate(owners) if o == pid]
+        s = float(S[rows].max(axis=0).mean())
+        if s > best_score:
+            best_patch, best_score = pid, s
+    return best_patch
+
+
 def _frame_tokens(vocab, obj_tags_list, seed=0, n_bg=20):
     rng = np.random.default_rng(seed)
     rows, owners = [], []
@@ -107,6 +118,20 @@ class TestDecodeBestPatch:
         owners = [7, 7, 8]
         # patch 7: per-text best (0.9, 0.1) mean 0.5; patch 8: (0.5,0.6) mean 0.55
         assert decode_best_patch(S, owners) == 8
+
+    def test_matches_loop_reference(self):
+        """Random frames on a coarse value grid, so exact ties between patches occur."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n_tok, n_txt = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            S = rng.integers(0, 4, size=(n_tok, n_txt)) / 4
+            owners = [int(o) for o in rng.choice([3, 9, 41, 7, 1000], size=n_tok)]
+            assert decode_best_patch(S, owners) == _decode_best_patch_loop(S, owners)
+
+    def test_tie_goes_to_first_seen_patch(self):
+        S = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
+        assert decode_best_patch(S, [9, 3, 9]) == 9
+        assert decode_best_patch(S, [3, 9, 9]) == 3
 
 
 class TestRerankFrames:

@@ -5,10 +5,10 @@ from pyspark.sql import functions as F
 
 from repro.index.hnsw import build_hnsw_shards, search_hnsw
 from repro.index.search_bf import score_vectors, search_bf
-from repro.index.search_ivfpq import _lut_frames, search_ivfpq
+from repro.index.search_ivfpq import search_ivfpq, top_a_clusters, vote
 from repro.index.store import VectorStore
 from repro.oracle import assert_equivalent
-from repro.queries.workload import query_by_id
+from repro.queries.workload import Query, query_by_id
 from tests.conftest import TEST_CFG
 
 
@@ -84,20 +84,23 @@ class TestBruteForce:
         assert got == list(range(1, 11))
 
 
+def _ids_votes(hits):
+    return [(r["patch_id"], r["votes"]) for r in hits]
+
+
 class TestIVFPQ:
-    def test_lut_frames_shapes(self, system, qvec):
-        top_a, rlut = _lut_frames(system.quant, qvec, top_a=6)
-        P = system.quant.n_subspaces
-        assert len(top_a) == P * 6
-        assert len(rlut) == P * TEST_CFG.k_residual
-        assert set(top_a.columns) == {"p", "cluster", "cscore"}
+    def test_top_a_clusters_shape(self, system, qvec):
+        top = top_a_clusters(system.quant.coarse_lut(qvec), top_a=6)
+        assert top.shape == (system.quant.n_subspaces, 6)
+        for row in top:
+            assert len(set(row)) == 6 and 0 <= row.min() and row.max() < TEST_CFG.k_coarse
 
     def test_top_a_selects_best_clusters(self, system, qvec):
-        top_a, _ = _lut_frames(system.quant, qvec, top_a=4)
         clut = system.quant.coarse_lut(qvec)
+        top = top_a_clusters(clut, top_a=4)
         for p in range(system.quant.n_subspaces):
-            sel = top_a[top_a["p"] == p]["cscore"].min()
-            unsel = np.sort(clut[p])[:-4]
+            sel = clut[p, top[p]].min()
+            unsel = np.delete(clut[p], top[p])
             assert (unsel <= sel + 1e-12).all()
 
     def test_returns_k_sorted_hits(self, system, qvec):
@@ -152,26 +155,86 @@ class TestIVFPQ:
             )
 
     def test_vote_aggregation_oracle(self, spark, system, qvec):
-        """GroupBy votes/sums (Alg. 1 line 16) checked against DuckDB."""
-        top_a, rlut = _lut_frames(system.quant, qvec, top_a=4)
-        cand = (
-            system.store.components.join(
-                F.broadcast(spark.createDataFrame(top_a)), ["p", "cluster"]
-            )
-            .join(F.broadcast(spark.createDataFrame(rlut)), ["p", "rcode"])
-            .withColumn("approx", F.col("cscore") + F.col("rscore"))
-            .select("patch_id", "p", "approx")
-        )
-        got = cand.groupBy("patch_id").agg(
-            F.count("*").alias("votes"),
-            F.round(F.sum("approx"), 6).alias("approx_sum"),
-        )
+        """Per-subspace cut, vote and shortlist (Alg. 1 lines 12, 16) checked against DuckDB."""
+        quant, kp, n = system.quant, 20, 30
+        clut, rlut = quant.coarse_lut(qvec), quant.residual_lut(qvec)
+        P, kc = clut.shape
+        keys = np.arange(P)[:, None] * kc + top_a_clusters(clut, top_a=4)
+        comp = system.store.components.toPandas()
+        post = comp[np.isin(comp["p"] * kc + comp["cluster"], keys)]
+        p = post["p"].to_numpy()
+        approx = clut[p, post["cluster"].to_numpy()] + rlut[p, post["rcode"].to_numpy()]
+        got = vote(p, post["patch_id"].to_numpy(), approx, kp, n)
+        assert len(got) == n
         assert_equivalent(
-            got,
-            "SELECT patch_id, count(*) AS votes, round(sum(approx), 6) AS approx_sum "
-            "FROM cand GROUP BY patch_id",
-            cand=cand,
+            spark.createDataFrame(got.assign(pos=np.arange(1, n + 1))),
+            "WITH cut AS (SELECT patch_id, approx, row_number() OVER "
+            "(PARTITION BY p ORDER BY approx DESC, patch_id) AS rk FROM post), "
+            "voted AS (SELECT patch_id, count(*) AS votes, sum(approx) AS approx_sum "
+            f"FROM cut WHERE rk <= {kp} GROUP BY patch_id) "
+            "SELECT *, row_number() OVER (ORDER BY votes DESC, approx_sum DESC, patch_id) "
+            f"AS pos FROM voted ORDER BY pos LIMIT {n}",
+            post=post.assign(approx=approx),
         )
+
+    def test_same_answer_at_any_shuffle_partitions(self, spark, system, qvec):
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
+        got = []
+        try:
+            for partitions in (1, 8):
+                spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
+                got.append(_ids_votes(
+                    search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect()
+                ))
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
+        assert got[0] == got[1]
+
+    def test_at_most_three_spark_jobs(self, spark, system, qvec):
+        """One postings read, one vectors read, one meta read — no more."""
+        sc = spark.sparkContext
+        sc.setJobGroup("ivfpq-job-count", "ivfpq-job-count")
+        try:
+            search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect()
+        finally:
+            sc._jsc.clearJobGroup()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert 1 <= len(sc.statusTracker().getJobIdsForGroup("ivfpq-job-count")) <= 3
+
+
+class TestIVFPQEdges:
+    def test_k_above_n_returns_every_vector_sorted(self, system, qvec):
+        n = system.store.n_vectors()
+        hits = search_ivfpq(
+            system.store, system.quant, qvec, top_a=TEST_CFG.k_coarse, k=n + 10
+        ).collect()
+        assert len(hits) == n
+        keys = [(-r["score"], r["patch_id"]) for r in hits]
+        assert keys == sorted(keys)
+
+    def test_top_a_above_k_coarse_reads_every_list(self, system, qvec):
+        kc = TEST_CFG.k_coarse
+        assert top_a_clusters(system.quant.coarse_lut(qvec), kc + 5).shape[1] == kc
+        every = search_ivfpq(system.store, system.quant, qvec, top_a=kc, k=20).collect()
+        over = search_ivfpq(system.store, system.quant, qvec, top_a=3 * kc, k=20).collect()
+        assert _ids_votes(over) == _ids_votes(every)
+
+    def test_empty_tags_tie_everywhere_broken_by_patch_id(self, system):
+        q = system.encode_query(Query("Q0", "bellevue", "", ()))
+        assert not q.any()  # no tags → the zero vector: every score ties at 0
+        hits = search_ivfpq(
+            system.store, system.quant, q, top_a=TEST_CFG.k_coarse, k=15
+        ).collect()
+        first = system.store.vectors.select("patch_id").orderBy("patch_id").limit(15)
+        assert [r["patch_id"] for r in hits] == [r["patch_id"] for r in first.collect()]
+        assert all(r["score"] == 0 for r in hits)
+
+    def test_empty_store_returns_empty_frame_with_schema(self, system, qvec):
+        s = system.store
+        empty = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
+        got = search_ivfpq(empty, system.quant, qvec, top_a=6, k=10)
+        assert got.columns == s.meta.columns + ["score", "votes"]
+        assert got.collect() == []
 
 
 class TestHNSWSpark:
