@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.config import LOVOConfig
 from repro.core.metrics import QueryResult, RankedResult, top_ranked
@@ -24,6 +23,7 @@ from repro.index.hnsw import build_hnsw_shards, search_hnsw
 from repro.index.ivf import build_index
 from repro.index.search_bf import search_bf
 from repro.index.search_ivfpq import search_ivfpq
+from repro.index.store import isin
 from repro.queries.workload import Query
 from repro.video.generator import frames_df
 from repro.video.keyframe import select_keyframes
@@ -168,8 +168,7 @@ class LOVO:
         frames = sorted({(r["video_id"], r["frame_idx"]) for r in hits})
         if not frames:
             return QueryResult(query.qid, [], fast_time=t1 - t0)
-        cand = self.spark.createDataFrame(frames, "video_id int, frame_idx int")
-        frame_patches = self.store.meta.join(F.broadcast(cand), ["video_id", "frame_idx"])
+        frame_patches = self.store.meta.filter(isin("(video_id, frame_idx)", frames))
         results = top_ranked(
             rerank_frames(frame_patches, query, self.cfg),
             self.cfg.n or len(frames),

@@ -16,8 +16,9 @@ the relation tags the coarse fast-search encoder dropped:
 * decoder: the best image token's patch provides the output bounding
   box, reproducing "outputs the frames with the bounding boxes".
 
-Runs as ``applyInPandas`` grouped by frame — the paper's per-frame
-rerank map — burning calibrated cross-modal-transformer FLOPs per frame.
+Runs on the driver: one Spark read of the candidate frames' patch
+rows, then the per-frame maths in numpy over at most k frames, burning
+calibrated cross-modal-transformer FLOPs per frame.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import zlib
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.config import LOVOConfig
@@ -102,18 +102,22 @@ def rerank_frames(
 ) -> DataFrame:
     """Re-score candidate frames; one output row per frame.
 
-    ``frame_patches`` holds the *metadata* rows (patch_id, tags,
-    pred_bbox) of every patch belonging to a candidate frame.
+    ``frame_patches`` holds the *metadata* rows (patch_id, track_id,
+    tags, pred_bbox) of every patch belonging to a candidate frame. They
+    are read in one Spark job and scored frame by frame on the driver,
+    patches in ascending ``patch_id`` order; the result is a local
+    DataFrame with ``RERANK_SCHEMA``.
     """
     cost = cfg.cost()
-    qtags = list(query.tags)
-
-    def _rerank(key, pdf):
-        vocab = Vocabulary(dim=cfg.dim, seed=cfg.vocab_seed)
-        X_T = FineTextEncoder(vocab).encode_tokens(qtags)
+    vocab = Vocabulary(dim=cfg.dim, seed=cfg.vocab_seed)
+    X_T = FineTextEncoder(vocab).encode_tokens(list(query.tags))
+    cols = ["video_id", "frame_idx", "patch_id", "track_id", "tags", "pred_bbox"]
+    pdf = frame_patches.select(*cols).toPandas().sort_values(cols[:3])
+    out = []
+    for (video_id, frame_idx), frame in pdf.groupby(["video_id", "frame_idx"], sort=False):
         cost.burn("lovo_rerank_frame", 1.0)
         rows, owners = [], []
-        for pid, track_id, tags in zip(pdf["patch_id"], pdf["track_id"], pdf["tags"]):
+        for pid, track_id, tags in zip(frame["patch_id"], frame["track_id"], frame["tags"]):
             rng = np.random.default_rng([cfg.seed, 1, int(pid)])
             # the reranker looks at the same pixels the encoder did: an
             # attribute the perception misses is missed here too
@@ -132,24 +136,13 @@ def rerank_frames(
                 rows.append(v / max(np.linalg.norm(v), 1e-12))
                 owners.append(int(pid))
         if rows:
-            X_I = np.stack(rows)
-            S = enhance(X_I, X_T)
+            S = enhance(np.stack(rows), X_T)
             score = float(S.max(axis=0).mean())
             best_pid = decode_best_patch(S, owners)
         else:  # every token dropped: score the frame as irrelevant
             score = -1.0
-            best_pid = int(pdf["patch_id"].iloc[0])
-        best_box = list(pdf.loc[pdf["patch_id"] == best_pid, "pred_bbox"].iloc[0])
-        return pd.DataFrame(
-            {
-                "video_id": [int(key[0])],
-                "frame_idx": [int(key[1])],
-                "rerank_score": [score],
-                "bbox": [best_box],
-                "patch_id": [best_pid],
-            }
-        )
-
-    return frame_patches.groupBy("video_id", "frame_idx").applyInPandas(
-        _rerank, schema=RERANK_SCHEMA
-    )
+            best_pid = int(frame["patch_id"].iloc[0])
+        best_box = list(frame.loc[frame["patch_id"] == best_pid, "pred_bbox"].iloc[0])
+        out.append((int(video_id), int(frame_idx), score, best_box, best_pid))
+    ranked = pd.DataFrame(out, columns=RERANK_SCHEMA.names)
+    return frame_patches.sparkSession.createDataFrame(ranked, RERANK_SCHEMA)

@@ -29,17 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
 from repro.index.pq import PQQuantizer
-from repro.index.store import VectorStore
-
-
-def _isin(col: str, values: list[int]) -> Column:
-    """``col IN (values)`` in one py4j call; ``Column.isin`` makes one per literal."""
-    return F.expr(f"{col} IN ({','.join(map(str, values))})") if values else F.lit(False)
+from repro.index.store import VectorStore, isin
 
 
 def top_a_clusters(clut: np.ndarray, top_a: int) -> np.ndarray:
@@ -98,7 +92,7 @@ def search_ivfpq(
     clut, rlut = quant.coarse_lut(q), quant.residual_lut(q)
     P, kc = clut.shape
     keys = (np.arange(P)[:, None] * kc + top_a_clusters(clut, top_a)).ravel().tolist()
-    post = store.components.filter(_isin(f"p * {kc} + cluster", keys)).toPandas()
+    post = store.components.filter(isin(f"p * {kc} + cluster", keys)).toPandas()
     p = post["p"].to_numpy()
     approx = clut[p, post["cluster"].to_numpy()] + rlut[p, post["rcode"].to_numpy()]
     short = vote(p, post["patch_id"].to_numpy(), approx, kp, k * rescore_factor)
@@ -106,8 +100,8 @@ def search_ivfpq(
         cost.burn("ann_scan_vector", len(post) / P + len(short))
 
     ids = short["patch_id"].tolist()
-    vec = store.vectors.filter(_isin("patch_id", ids)).toPandas()
-    meta = store.meta.filter(_isin("patch_id", ids)).toPandas()
+    vec = store.vectors.filter(isin("patch_id", ids)).toPandas()
+    meta = store.meta.filter(isin("patch_id", ids)).toPandas()
     scores = np.stack(vec["embedding"].to_numpy()) @ q if len(vec) else np.zeros(0)
     hits = (
         meta.merge(pd.DataFrame({"patch_id": vec["patch_id"], "score": scores}), on="patch_id")

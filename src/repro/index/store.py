@@ -14,13 +14,28 @@ and the relational metadata store linked by the shared patch id:
 
 All three are Spark DataFrames; ``save``/``load`` round-trip through
 Parquet so the index is a persistent on-disk artefact, as in Milvus.
+A query reads them through ``isin``, one SQL ``IN`` filter per read.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import functions as F
+
+
+def isin(col: str, values: list) -> Column:
+    """``col IN (values)`` as one parsed SQL expression.
+
+    ``Column.isin`` makes one py4j call per literal, this makes one. A
+    tuple renders as the struct literal ``(v, f)``, matching a column
+    list such as ``"(video_id, frame_idx)"``. No values match no row.
+    """
+    if not values:
+        return F.lit(False)
+    lits = (f"({','.join(map(str, v))})" if isinstance(v, tuple) else str(v) for v in values)
+    return F.expr(f"{col} IN ({','.join(lits)})")
 
 
 @dataclass

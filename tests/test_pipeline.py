@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import LOVO
+from repro.index.store import VectorStore
 from repro.queries.workload import query_by_id
 from repro.video.groundtruth import evaluate_ranking, gt_objects_pdf
 from tests.conftest import TEST_CFG
@@ -93,6 +94,29 @@ class TestQuery:
     def test_query_embedding_unit_norm(self, system):
         q = system.encode_query(query_by_id("Q1.1"))
         assert np.linalg.norm(q) == pytest.approx(1.0)
+
+
+class TestQueryEdges:
+    @pytest.mark.parametrize("use_rerank", [True, False], ids=["rerank", "fast-only"])
+    def test_empty_store_returns_empty_result(self, spark, system, use_rerank):
+        empty = LOVO(spark, TEST_CFG)
+        s = system.store
+        empty.quant = system.quant
+        empty.store = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
+        res = empty.query(query_by_id("Q2.1"), use_rerank=use_rerank)
+        assert res.qid == "Q2.1" and res.results == []
+
+    def test_same_answer_at_any_shuffle_partitions(self, spark, system):
+        q = query_by_id("Q2.2")
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
+        got = []
+        try:
+            for partitions in (1, 64):
+                spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
+                got.append(system.query(q, variant="ivfpq").results)
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
+        assert got[0] and got[0] == got[1]
 
 
 class TestAblations:

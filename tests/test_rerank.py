@@ -1,17 +1,22 @@
 """Tests for the cross-modality rerank stage."""
+import zlib
+
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.rerank import (
+    RERANK_SCHEMA,
     _normalize,
     _softmax,
     decode_best_patch,
     enhance,
     rerank_frames,
 )
-from repro.queries.workload import query_by_id
-from repro.vocab.encoders import FineTextEncoder
+from repro.index.store import isin
+from repro.queries.workload import queries_for_dataset, query_by_id
+from repro.vocab.encoders import FineTextEncoder, perceived_track_tags, track_perturbation
 from repro.vocab.vocabulary import Vocabulary
 from tests.conftest import TEST_CFG
 
@@ -37,6 +42,67 @@ def _decode_best_patch_loop(S, owners):
         if s > best_score:
             best_patch, best_score = pid, s
     return best_patch
+
+
+def _rerank_grouped(frame_patches, query, cfg):
+    """Reference rerank: the original ``applyInPandas`` grouped by frame."""
+    cost = cfg.cost()
+    qtags = list(query.tags)
+
+    def _rerank(key, pdf):
+        vocab = Vocabulary(dim=cfg.dim, seed=cfg.vocab_seed)
+        X_T = FineTextEncoder(vocab).encode_tokens(qtags)
+        cost.burn("lovo_rerank_frame", 1.0)
+        rows, owners = [], []
+        for pid, track_id, tags in zip(pdf["patch_id"], pdf["track_id"], pdf["tags"]):
+            rng = np.random.default_rng([cfg.seed, 1, int(pid)])
+            seen = perceived_track_tags(
+                list(tags), seed=cfg.seed, track_id=int(track_id),
+                dropout=cfg.attr_dropout, rel_dropout=cfg.rel_dropout,
+            )
+            for t in seen:
+                d = rng.standard_normal(cfg.dim)
+                d *= cfg.token_noise / max(np.linalg.norm(d), 1e-12)
+                persistent = track_perturbation(
+                    cfg.dim, cfg.token_track_noise, seed=cfg.seed,
+                    track_id=int(track_id), salt=zlib.crc32(t.encode()),
+                )
+                v = vocab.vec(t) + persistent + d
+                rows.append(v / max(np.linalg.norm(v), 1e-12))
+                owners.append(int(pid))
+        if rows:
+            X_I = np.stack(rows)
+            S = enhance(X_I, X_T)
+            score = float(S.max(axis=0).mean())
+            best_pid = decode_best_patch(S, owners)
+        else:
+            score = -1.0
+            best_pid = int(pdf["patch_id"].iloc[0])
+        best_box = list(pdf.loc[pdf["patch_id"] == best_pid, "pred_bbox"].iloc[0])
+        return pd.DataFrame(
+            {
+                "video_id": [int(key[0])],
+                "frame_idx": [int(key[1])],
+                "rerank_score": [score],
+                "bbox": [best_box],
+                "patch_id": [best_pid],
+            }
+        )
+
+    return frame_patches.groupBy("video_id", "frame_idx").applyInPandas(
+        _rerank, schema=RERANK_SCHEMA
+    )
+
+
+def _candidate_patches(system, query, **search):
+    """The meta rows of every frame among ``query``'s fast-search hits."""
+    hits = system.fast_search(query, **search).collect()
+    frames = sorted({(r["video_id"], r["frame_idx"]) for r in hits})
+    return system.store.meta.filter(isin("(video_id, frame_idx)", frames)), frames
+
+
+def _rows(df):
+    return sorted(tuple(r) for r in df.collect())
 
 
 def _frame_tokens(vocab, obj_tags_list, seed=0, n_bg=20):
@@ -136,13 +202,10 @@ class TestDecodeBestPatch:
 
 class TestRerankFrames:
     @pytest.fixture(scope="class")
-    def ranked(self, spark, lovo_built):
+    def ranked(self, lovo_built):
         system, _ = lovo_built
         q = query_by_id("Q2.1")
-        hits = system.fast_search(q, variant="bf", k=30).collect()
-        frames = sorted({(r["video_id"], r["frame_idx"]) for r in hits})
-        cand = spark.createDataFrame(frames, "video_id int, frame_idx int")
-        fp = system.store.meta.join(F.broadcast(cand), ["video_id", "frame_idx"])
+        fp, frames = _candidate_patches(system, q, variant="bf", k=30)
         return rerank_frames(fp, q, TEST_CFG).collect(), frames
 
     def test_one_row_per_frame(self, ranked):
@@ -170,15 +233,57 @@ class TestRerankFrames:
         for r in rows:
             assert meta[r["patch_id"]] == (r["video_id"], r["frame_idx"])
 
-    def test_deterministic(self, spark, lovo_built):
+    def test_deterministic(self, lovo_built):
         system, _ = lovo_built
         q = query_by_id("Q2.3")
-        hits = system.fast_search(q, variant="bf", k=10).collect()
-        frames = sorted({(r["video_id"], r["frame_idx"]) for r in hits})
-        cand = spark.createDataFrame(frames, "video_id int, frame_idx int")
-        fp = system.store.meta.join(F.broadcast(cand), ["video_id", "frame_idx"])
-        a = sorted((r["video_id"], r["frame_idx"], round(r["rerank_score"], 9))
-                   for r in rerank_frames(fp, q, TEST_CFG).collect())
-        b = sorted((r["video_id"], r["frame_idx"], round(r["rerank_score"], 9))
-                   for r in rerank_frames(fp, q, TEST_CFG).collect())
-        assert a == b
+        fp, _ = _candidate_patches(system, q, variant="bf", k=10)
+        assert _rows(rerank_frames(fp, q, TEST_CFG)) == _rows(rerank_frames(fp, q, TEST_CFG))
+
+    @pytest.mark.parametrize("qid", [q.qid for q in queries_for_dataset("bellevue")])
+    def test_matches_grouped_reference(self, lovo_built, qid):
+        """Same score, box and patch per frame as the grouped ``applyInPandas`` plan."""
+        system, _ = lovo_built
+        q = query_by_id(qid)
+        fp, frames = _candidate_patches(system, q)
+        got = _rows(rerank_frames(fp, q, TEST_CFG))
+        assert len(got) == len(frames)
+        assert got == _rows(_rerank_grouped(fp, q, TEST_CFG))
+
+    def test_one_spark_job(self, spark, lovo_built):
+        """One read of the candidate patches; the scoring runs on the driver."""
+        system, _ = lovo_built
+        q = query_by_id("Q2.2")
+        fp, _ = _candidate_patches(system, q)
+        sc = spark.sparkContext
+        sc.setJobGroup("rerank-job-count", "rerank-job-count")
+        try:
+            rerank_frames(fp, q, TEST_CFG).collect()
+        finally:
+            sc._jsc.clearJobGroup()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert len(sc.statusTracker().getJobIdsForGroup("rerank-job-count")) == 1
+
+
+class TestRerankEdges:
+    def test_no_frames_returns_empty_frame_with_schema(self, lovo_built):
+        system, _ = lovo_built
+        got = rerank_frames(system.store.meta.limit(0), query_by_id("Q2.1"), TEST_CFG)
+        assert got.schema == RERANK_SCHEMA
+        assert got.collect() == []
+
+    def test_frame_without_tokens_scores_minus_one_at_first_patch(self, lovo_built):
+        """A frame whose tags all drop out ranks last, boxed by its lowest patch id."""
+        system, _ = lovo_built
+        q = query_by_id("Q2.1")
+        fp, frames = _candidate_patches(system, q, variant="bf", k=10)
+        untagged = isin("(video_id, frame_idx)", frames[:1])
+        fp = fp.withColumn(
+            "tags", F.when(untagged, F.array().cast("array<string>")).otherwise(F.col("tags"))
+        )
+        first = fp.filter(untagged).orderBy("patch_id").first()
+        got = {(r["video_id"], r["frame_idx"]): r for r in rerank_frames(fp, q, TEST_CFG).collect()}
+        assert len(got) == len(frames) > 1
+        row = got.pop(frames[0])
+        assert row["rerank_score"] == -1.0
+        assert (row["patch_id"], row["bbox"]) == (first["patch_id"], first["pred_bbox"])
+        assert all(r["rerank_score"] > -1.0 for r in got.values())
