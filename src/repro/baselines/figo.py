@@ -47,4 +47,4 @@ class Figo(Baseline):
         hits = qd_scan(
             selected, query, self.cost, p_det=0.9, attr_recall=0.8, seed=self.cfg.seed + 1
         )
-        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

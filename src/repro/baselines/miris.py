@@ -26,4 +26,4 @@ class Miris(Baseline):
         hits = qd_scan(
             self.patches, query, self.cost, p_det=0.85, attr_recall=0.7, seed=self.cfg.seed
         )
-        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

@@ -89,4 +89,4 @@ class Umt(Baseline):
             self.clips.coalesce(1)  # one transformer instance = one GPU
             .mapInPandas(_attend, schema=schema)
         )
-        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

@@ -120,4 +120,4 @@ class Visa(Baseline):
             .coalesce(1)  # sequential LLM token generation: one instance
             .mapInPandas(_reason, schema=schema)
         )
-        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

@@ -120,4 +120,4 @@ class Zelda(Baseline):
 
         schema = "video_id int, frame_idx int, bbox array<double>, score double"
         hits = self.frames.mapInPandas(_score, schema=schema)
-        return QueryResult(query.qid, top_ranked(hits, k), time.perf_counter() - t0)
+        return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import pandas as pd
 
 
 @dataclass(frozen=True)
@@ -46,20 +45,19 @@ class QueryResult:
         return self.fast_time + self.rerank_time
 
 
-def top_ranked(hits: DataFrame, k: int, *, score: str = "score") -> list[RankedResult]:
+def top_ranked(hits: pd.DataFrame, k: int, *, score: str = "score") -> list[RankedResult]:
     """The ``k`` best ``hits`` rows by ``score`` as ranked results.
 
-    ``hits`` has ``video_id``, ``frame_idx``, ``bbox`` and the score
-    column; ties are broken by ``(video_id, frame_idx)``.
+    ``hits`` holds driver-local rows with ``video_id``, ``frame_idx``,
+    ``bbox`` and the score column; ties are broken by
+    ``(video_id, frame_idx)``.
     """
-    rows = (
-        hits.orderBy(F.desc(score), F.asc("video_id"), F.asc("frame_idx"))
-        .limit(k)
-        .collect()
-    )
+    top = hits.sort_values(
+        [score, "video_id", "frame_idx"], ascending=[False, True, True]
+    ).head(k)
     return [
-        RankedResult(r["video_id"], r["frame_idx"], tuple(r["bbox"]), float(r[score]))
-        for r in rows
+        RankedResult(int(v), int(f), tuple(map(float, b)), float(s))
+        for v, f, b, s in zip(top["video_id"], top["frame_idx"], top["bbox"], top[score])
     ]
 
 

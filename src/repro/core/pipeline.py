@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.config import LOVOConfig
 from repro.core.metrics import QueryResult, RankedResult, top_ranked
-from repro.core.rerank import rerank_frames
+from repro.core.rerank import score_frames
 from repro.core.summary import encode_patches, keyframe_patches
 from repro.index.hnsw import build_hnsw_shards, search_hnsw
 from repro.index.ivf import build_index
@@ -170,7 +170,7 @@ class LOVO:
             return QueryResult(query.qid, [], fast_time=t1 - t0)
         frame_patches = self.store.meta.filter(isin("(video_id, frame_idx)", frames))
         results = top_ranked(
-            rerank_frames(frame_patches, query, self.cfg),
+            score_frames(frame_patches, query, self.cfg),
             self.cfg.n or len(frames),
             score="rerank_score",
         )

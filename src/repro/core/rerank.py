@@ -100,13 +100,22 @@ def decode_best_patch(S: np.ndarray, owners: list[int]) -> int:
 def rerank_frames(
     frame_patches: DataFrame, query: Query, cfg: LOVOConfig
 ) -> DataFrame:
+    """``score_frames`` as a local DataFrame with ``RERANK_SCHEMA``."""
+    return frame_patches.sparkSession.createDataFrame(
+        score_frames(frame_patches, query, cfg), RERANK_SCHEMA
+    )
+
+
+def score_frames(
+    frame_patches: DataFrame, query: Query, cfg: LOVOConfig
+) -> pd.DataFrame:
     """Re-score candidate frames; one output row per frame.
 
     ``frame_patches`` holds the *metadata* rows (patch_id, track_id,
     tags, pred_bbox) of every patch belonging to a candidate frame. They
     are read in one Spark job and scored frame by frame on the driver,
-    patches in ascending ``patch_id`` order; the result is a local
-    DataFrame with ``RERANK_SCHEMA``.
+    patches in ascending ``patch_id`` order; the result is a pandas
+    frame with ``RERANK_SCHEMA``'s columns.
     """
     cost = cfg.cost()
     vocab = Vocabulary(dim=cfg.dim, seed=cfg.vocab_seed)
@@ -144,5 +153,4 @@ def rerank_frames(
             best_pid = int(frame["patch_id"].iloc[0])
         best_box = list(frame.loc[frame["patch_id"] == best_pid, "pred_bbox"].iloc[0])
         out.append((int(video_id), int(frame_idx), score, best_box, best_pid))
-    ranked = pd.DataFrame(out, columns=RERANK_SCHEMA.names)
-    return frame_patches.sparkSession.createDataFrame(ranked, RERANK_SCHEMA)
+    return pd.DataFrame(out, columns=RERANK_SCHEMA.names)

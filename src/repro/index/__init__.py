@@ -5,9 +5,9 @@ trained on a driver-side sample (standard IVF-PQ practice), code
 assignment and inverted-list construction run as DataFrame jobs, and
 Algorithm 1's search reads only the top-A inverted lists (one filter)
 and votes over them in driver-side numpy. Three search variants back
-the paper's Table V:
+the paper's Table V, each as Spark reads plus driver-side numpy:
 brute-force (BF), quantisation-based inverted indexing (IVF-PQ) and
-shard-parallel graph search (HNSW).
+sharded graph search (HNSW).
 """
 from repro.index.pq import PQQuantizer, train_quantizer
 from repro.index.store import VectorStore

@@ -1,4 +1,4 @@
-"""Graph-based ANN variant for Table V: shard-parallel HNSW.
+"""Graph-based ANN variant for Table V: sharded HNSW.
 
 A compact HNSW (hierarchical navigable small world) implementation in
 numpy: geometric level assignment, greedy descent through upper layers,
@@ -8,10 +8,12 @@ selection with degree pruning. Unit-norm vectors, cosine distance
 
 Distributed deployment follows the standard sharded pattern (a single
 global graph cannot be built data-parallel): vectors are hash-
-partitioned into shards, one graph is built per shard inside a Spark
-task, serialised, and every query searches all shard graphs in parallel
-before a global top-k merge. This preserves HNSW's cost/recall profile
-while fitting the Spark execution model.
+partitioned into shards and one graph is built per shard inside a Spark
+task, serialised into a cached table. A query reads the shard blobs in
+one Spark job, searches every graph on the driver and merges the
+per-shard top-k with ``top_hits`` (one ``meta`` read), so it runs two
+Spark jobs and no Python worker. This preserves HNSW's cost/recall
+profile while fitting the Spark execution model.
 """
 from __future__ import annotations
 
@@ -24,6 +26,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+
+from repro.index.store import top_hits
 
 
 class HNSWGraph:
@@ -130,9 +134,6 @@ def build_graph(ids: np.ndarray, X: np.ndarray, *, m: int = 8,
 _SHARD_SCHEMA = T.StructType(
     [T.StructField("shard", T.IntegerType()), T.StructField("blob", T.BinaryType())]
 )
-_HIT_SCHEMA = T.StructType(
-    [T.StructField("patch_id", T.LongType()), T.StructField("score", T.DoubleType())]
-)
 
 
 def build_hnsw_shards(
@@ -157,23 +158,13 @@ def build_hnsw_shards(
 def search_hnsw(
     shards: DataFrame, meta: DataFrame, q: np.ndarray, *, k: int = 50, ef: int = 64
 ) -> DataFrame:
-    """Search every shard graph in parallel, merge, attach metadata."""
-    qv = np.asarray(q, dtype=np.float64)  # ships with the task closure
-
-    def _search(batches):
-        for pdf in batches:
-            for blob in pdf["blob"]:
-                g: HNSWGraph = pickle.loads(bytes(blob))
-                hits = g.search(qv, k, ef=ef)
-                if hits:
-                    yield pd.DataFrame(
-                        {"patch_id": [h[0] for h in hits],
-                         "score": [h[1] for h in hits]}
-                    )
-
-    merged = (
-        shards.mapInPandas(_search, schema=_HIT_SCHEMA)
-        .orderBy(F.desc("score"), F.asc("patch_id"))
-        .limit(k)
-    )
-    return merged.join(meta, "patch_id").orderBy(F.desc("score"), F.asc("patch_id"))
+    """Search every shard graph on the driver, merge, attach metadata."""
+    qv = np.asarray(q, dtype=np.float64)
+    hits = [
+        h
+        for r in shards.select("blob").collect()
+        for h in pickle.loads(r["blob"]).search(qv, k, ef=ef)
+    ]
+    patch_id = np.array([h[0] for h in hits], dtype=np.int64)
+    score = np.array([h[1] for h in hits], dtype=np.float64)
+    return top_hits(meta, patch_id, score, k)

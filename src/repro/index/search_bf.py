@@ -1,50 +1,17 @@
 """Brute-force exact search (Table V's LOVO(BF), and the w/o-ANNS ablation).
 
-Scores every stored vector against the query with a distributed
-dot-product scan, takes the global top-k, and joins the relational
-metadata — the full-database-scan path that Algorithm 1 avoids.
+Scores every stored vector against the query — the full-database scan
+that Algorithm 1 avoids — as one Arrow read of ``vectors`` and one
+matrix-vector product in driver numpy, then ranks and attaches the
+relational metadata with ``top_hits`` (one ``meta`` read): two Spark
+jobs and no Python worker.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
-_SCORE_SCHEMA = T.StructType(
-    [
-        T.StructField("patch_id", T.LongType()),
-        T.StructField("score", T.DoubleType()),
-    ]
-)
-
-
-def score_vectors(vectors: DataFrame, q: np.ndarray, cost=None) -> DataFrame:
-    """(patch_id, score) with score = q·embedding, computed in Arrow batches.
-
-    ``cost`` (a :class:`repro.vocab.encoders.CostModel`) burns
-    ``ann_scan_vector`` units per vector scored, so a full scan pays for
-    every vector it touches while the indexed path pays only for its
-    candidates — the latency asymmetry behind the paper's w/o-ANNS
-    ablation, which Spark overhead alone would mask at small scale.
-    """
-    qv = np.asarray(q, dtype=np.float64)  # ships with the task closure
-
-    def _score(batches):
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            if cost is not None:
-                cost.burn("ann_scan_vector", len(pdf))
-            X = np.stack(pdf["embedding"].to_numpy())
-            yield pd.DataFrame(
-                {"patch_id": pdf["patch_id"].to_numpy(), "score": X @ qv}
-            )
-
-    return vectors.select("patch_id", "embedding").mapInPandas(
-        _score, schema=_SCORE_SCHEMA
-    )
+from repro.index.store import top_hits
 
 
 def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
@@ -52,7 +19,17 @@ def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
 
     Score ties are broken by ascending ``patch_id``, as in the IVF-PQ and
     HNSW paths, so the answer does not depend on partitioning.
+    ``cost`` (a :class:`repro.vocab.encoders.CostModel`) burns
+    ``ann_scan_vector`` units on the driver, one per vector scored, so a
+    full scan pays for every vector it touches while the indexed path
+    pays only for its candidates — the latency asymmetry behind the
+    paper's w/o-ANNS ablation, which Spark overhead alone would mask at
+    small scale.
     """
-    order = [F.desc("score"), F.asc("patch_id")]
-    topk = score_vectors(store.vectors, q, cost).orderBy(*order).limit(k)
-    return topk.join(store.meta, "patch_id").orderBy(*order)
+    q = np.asarray(q, dtype=np.float64)
+    vec = store.vectors.select("patch_id", "embedding").toArrow()
+    if cost is not None:
+        cost.burn("ann_scan_vector", vec.num_rows)
+    emb = vec.column("embedding").combine_chunks()
+    X = emb.flatten().to_numpy().reshape(vec.num_rows, q.size)
+    return top_hits(store.meta, vec.column("patch_id").to_numpy(), X @ q, k)

@@ -14,15 +14,20 @@ and the relational metadata store linked by the shared patch id:
 
 All three are Spark DataFrames; ``save``/``load`` round-trip through
 Parquet so the index is a persistent on-disk artefact, as in Milvus.
-A query reads them through ``isin``, one SQL ``IN`` filter per read.
+A query reads them through ``isin``, one SQL ``IN`` filter per read, and
+the BF and HNSW searches end in ``top_hits``: their driver-side scores
+ranked, then the winners' ``meta`` rows read.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 
 def isin(col: str, values: list) -> Column:
@@ -36,6 +41,21 @@ def isin(col: str, values: list) -> Column:
         return F.lit(False)
     lits = (f"({','.join(map(str, v))})" if isinstance(v, tuple) else str(v) for v in values)
     return F.expr(f"{col} IN ({','.join(lits)})")
+
+
+def top_hits(meta: DataFrame, patch_id: np.ndarray, score: np.ndarray, k: int) -> DataFrame:
+    """The ``k`` best scored patches with their ``meta`` rows, best first.
+
+    Ranks by descending ``score``, ties by ascending ``patch_id``, in
+    numpy; reads the winners' rows with one ``patch_id IN`` filter and
+    returns a local DataFrame of the meta columns plus ``score``.
+    """
+    best = np.lexsort((patch_id, -score))[:k]
+    ranked = pd.DataFrame({"patch_id": patch_id[best], "score": score[best]})
+    rows = meta.filter(isin("patch_id", ranked["patch_id"].tolist())).toPandas()
+    hits = ranked.merge(rows, on="patch_id")  # an inner merge keeps the ranked order
+    schema = T.StructType(meta.schema.fields + [T.StructField("score", T.DoubleType())])
+    return meta.sparkSession.createDataFrame(hits[schema.names], schema)
 
 
 @dataclass

@@ -6,6 +6,8 @@ queries or inspect tables against them.
 """
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core import LOVO, LOVOConfig
@@ -24,6 +26,26 @@ TEST_CFG = LOVOConfig(
     hnsw_shards=4,
     cost_scale=0.0,
 )
+
+
+_job_groups = itertools.count()
+
+
+def spark_jobs(spark, fn) -> list[int]:
+    """Run ``fn`` under a job group of its own; the ids of the Spark jobs it ran.
+
+    The group is cleared even if ``fn`` raises, and the listener bus is
+    drained first so that no finished job is missed.
+    """
+    sc = spark.sparkContext
+    group = f"spark-jobs-{next(_job_groups)}"
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc._jsc.clearJobGroup()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return list(sc.statusTracker().getJobIdsForGroup(group))
 
 
 @pytest.fixture(scope="session")

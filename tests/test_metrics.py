@@ -1,7 +1,8 @@
 """Unit tests for IoU and Average Precision."""
+import pandas as pd
 import pytest
 
-from repro.core.metrics import average_precision, iou
+from repro.core.metrics import RankedResult, average_precision, iou, top_ranked
 
 
 class TestIoU:
@@ -85,3 +86,21 @@ class TestAveragePrecision:
 
     def test_bounded(self):
         assert 0.0 <= average_precision([True, False, True, True], 5) <= 1.0
+
+
+class TestTopRanked:
+    def test_best_k_by_score_then_frame(self):
+        hits = pd.DataFrame({
+            "video_id": [1, 0, 0, 2],
+            "frame_idx": [5, 9, 3, 0],
+            "bbox": [[0.0, 0.0, 0.5, 0.5]] * 4,
+            "rerank_score": [0.5, 0.9, 0.5, 0.1],
+        })
+        got = top_ranked(hits, 3, score="rerank_score")
+        box = (0.0, 0.0, 0.5, 0.5)
+        assert got == [RankedResult(0, 9, box, 0.9), RankedResult(0, 3, box, 0.5),
+                       RankedResult(1, 5, box, 0.5)]
+
+    def test_no_hits(self):
+        hits = pd.DataFrame(columns=["video_id", "frame_idx", "bbox", "score"])
+        assert top_ranked(hits, 5) == []

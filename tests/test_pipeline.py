@@ -8,7 +8,7 @@ from repro.core import LOVO
 from repro.index.store import VectorStore
 from repro.queries.workload import query_by_id
 from repro.video.groundtruth import evaluate_ranking, gt_objects_pdf
-from tests.conftest import TEST_CFG
+from tests.conftest import TEST_CFG, spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,11 @@ class TestQueryEdges:
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
         assert got[0] and got[0] == got[1]
+
+    def test_ivfpq_with_rerank_at_most_four_spark_jobs(self, spark, system):
+        """Three search reads and one rerank read; the ranking runs on the driver."""
+        jobs = spark_jobs(spark, lambda: system.query(query_by_id("Q2.2"), variant="ivfpq"))
+        assert 1 <= len(jobs) <= 4
 
 
 class TestAblations:

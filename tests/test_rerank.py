@@ -18,7 +18,7 @@ from repro.index.store import isin
 from repro.queries.workload import queries_for_dataset, query_by_id
 from repro.vocab.encoders import FineTextEncoder, perceived_track_tags, track_perturbation
 from repro.vocab.vocabulary import Vocabulary
-from tests.conftest import TEST_CFG
+from tests.conftest import TEST_CFG, spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -254,14 +254,8 @@ class TestRerankFrames:
         system, _ = lovo_built
         q = query_by_id("Q2.2")
         fp, _ = _candidate_patches(system, q)
-        sc = spark.sparkContext
-        sc.setJobGroup("rerank-job-count", "rerank-job-count")
-        try:
-            rerank_frames(fp, q, TEST_CFG).collect()
-        finally:
-            sc._jsc.clearJobGroup()
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        assert len(sc.statusTracker().getJobIdsForGroup("rerank-job-count")) == 1
+        jobs = spark_jobs(spark, lambda: rerank_frames(fp, q, TEST_CFG).collect())
+        assert len(jobs) == 1
 
 
 class TestRerankEdges:

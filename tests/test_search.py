@@ -1,15 +1,17 @@
 """Tests for the three ANN search paths (BF, IVF-PQ / Algorithm 1, HNSW)."""
+import pickle
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.index.hnsw import build_hnsw_shards, search_hnsw
-from repro.index.search_bf import score_vectors, search_bf
+from repro.index.search_bf import search_bf
 from repro.index.search_ivfpq import search_ivfpq, top_a_clusters, vote
 from repro.index.store import VectorStore
 from repro.oracle import assert_equivalent
 from repro.queries.workload import Query, query_by_id
-from tests.conftest import TEST_CFG
+from tests.conftest import TEST_CFG, spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -22,38 +24,27 @@ def qvec(system):
     return system.encode_query(query_by_id("Q2.1"))
 
 
-class TestScoreVectors:
-    def test_matches_numpy(self, system, qvec):
-        got = (
-            score_vectors(system.store.vectors, qvec)
-            .orderBy("patch_id")
-            .limit(100)
-            .toPandas()
-        )
-        sample = (
-            system.store.vectors.orderBy("patch_id").limit(100).toPandas()
-        )
-        X = np.stack(sample["embedding"].to_numpy())
-        np.testing.assert_allclose(got["score"].to_numpy(), X @ qvec, atol=1e-9)
-
-    def test_score_bounded_by_unit_norms(self, system, qvec):
-        mm = score_vectors(system.store.vectors, qvec).agg(
-            F.min("score"), F.max("score")
-        ).collect()[0]
-        assert -1.001 <= mm[0] <= mm[1] <= 1.001
+def _exact_topk(store, q, k):
+    """(patch_id, score) of the exact top-k: numpy over the collected vectors."""
+    vec = store.vectors.toPandas()
+    ids, scores = vec["patch_id"].to_numpy(), np.stack(vec["embedding"].to_numpy()) @ q
+    best = np.lexsort((ids, -scores))[:k]
+    return list(zip(ids[best].tolist(), scores[best].tolist()))
 
 
 class TestBruteForce:
-    def test_topk_matches_global_argsort(self, system, qvec):
-        k = 25
-        got = [r["patch_id"] for r in search_bf(system.store, qvec, k=k).collect()]
-        allscores = score_vectors(system.store.vectors, qvec).toPandas()
-        want = set(
-            allscores.sort_values("score", ascending=False).head(k)["patch_id"]
-        )
-        assert len(got) == k
-        # ties at the cutoff may swap membership of the last entry
-        assert len(set(got) & want) >= k - 1
+    @pytest.mark.parametrize("extra", [1, 25, None], ids=["k1", "k25", "k_above_n"])
+    def test_matches_exact_numpy_topk(self, system, qvec, extra):
+        """Ids, order and scores equal numpy's full-matrix q·X ranked by (−score, patch_id)."""
+        k = extra or system.store.n_vectors() + 10
+        got = [(r["patch_id"], r["score"]) for r in search_bf(system.store, qvec, k=k).collect()]
+        assert got == _exact_topk(system.store, qvec, k)
+
+    def test_score_bounded_by_unit_norms(self, system, qvec):
+        n = system.store.n_vectors()
+        scores = [r["score"] for r in search_bf(system.store, qvec, k=n).collect()]
+        assert len(scores) == n
+        assert -1.001 <= min(scores) <= max(scores) <= 1.001
 
     def test_sorted_descending(self, system, qvec):
         scores = [r["score"] for r in search_bf(system.store, qvec, k=30).collect()]
@@ -82,6 +73,30 @@ class TestBruteForce:
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
         assert got == list(range(1, 11))
+
+    def test_at_most_two_spark_jobs(self, spark, system, qvec):
+        """One vectors read, one meta read — no Python worker, sort or join."""
+        jobs = spark_jobs(spark, lambda: search_bf(system.store, qvec, k=30).collect())
+        assert 1 <= len(jobs) <= 2
+
+
+class TestBruteForceEdges:
+    """k > N is the ``k_above_n`` case of ``TestBruteForce::test_matches_exact_numpy_topk``."""
+
+    def test_empty_tags_tie_everywhere_broken_by_patch_id(self, system):
+        q = system.encode_query(Query("Q0", "bellevue", "", ()))
+        assert not q.any()  # no tags → the zero vector: every score ties at 0
+        hits = search_bf(system.store, q, k=15).collect()
+        first = system.store.vectors.select("patch_id").orderBy("patch_id").limit(15)
+        assert [r["patch_id"] for r in hits] == [r["patch_id"] for r in first.collect()]
+        assert all(r["score"] == 0 for r in hits)
+
+    def test_empty_store_returns_empty_frame_with_schema(self, system, qvec):
+        s = system.store
+        empty = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
+        got = search_bf(empty, qvec, k=10)
+        assert got.columns == s.meta.columns + ["score"]
+        assert got.collect() == []
 
 
 def _ids_votes(hits):
@@ -192,14 +207,11 @@ class TestIVFPQ:
 
     def test_at_most_three_spark_jobs(self, spark, system, qvec):
         """One postings read, one vectors read, one meta read — no more."""
-        sc = spark.sparkContext
-        sc.setJobGroup("ivfpq-job-count", "ivfpq-job-count")
-        try:
-            search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect()
-        finally:
-            sc._jsc.clearJobGroup()
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        assert 1 <= len(sc.statusTracker().getJobIdsForGroup("ivfpq-job-count")) <= 3
+        jobs = spark_jobs(
+            spark,
+            lambda: search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect(),
+        )
+        assert 1 <= len(jobs) <= 3
 
 
 class TestIVFPQEdges:
@@ -269,3 +281,56 @@ class TestHNSWSpark:
     def test_metadata_attached(self, system, shards, qvec):
         row = search_hnsw(shards, system.store.meta, qvec, k=5).collect()[0]
         assert "tags" in row.asDict() and "pred_bbox" in row.asDict()
+
+    def test_at_most_two_spark_jobs(self, spark, system, qvec):
+        """One read of the shard graphs, one meta read — no Python worker."""
+        shards = system.hnsw_shards()
+        jobs = spark_jobs(
+            spark, lambda: search_hnsw(shards, system.store.meta, qvec, k=30).collect()
+        )
+        assert 1 <= len(jobs) <= 2
+
+
+def _reachable_ids(shards):
+    """External ids reachable from each shard graph's entry along its layer-0 edges."""
+    ids = set()
+    for r in shards.select("blob").collect():
+        g = pickle.loads(r["blob"])
+        seen, todo = {g.entry}, [g.entry]
+        while todo:
+            for nb in g.neighbors[todo.pop()][0]:
+                if nb not in seen:
+                    seen.add(nb)
+                    todo.append(nb)
+        ids |= {g.ids[node] for node in seen}
+    return ids
+
+
+class TestHNSWEdges:
+    def test_k_above_n_returns_every_reachable_vector_sorted(self, system, qvec):
+        """Every vector its shard graph's bottom layer reaches from the entry point.
+
+        Degree pruning can leave a node with no incoming edge, which no
+        search can return, so this may be fewer than all N vectors.
+        """
+        n = system.store.n_vectors()
+        hits = search_hnsw(system.hnsw_shards(), system.store.meta, qvec, k=n + 10).collect()
+        assert {r["patch_id"] for r in hits} == _reachable_ids(system.hnsw_shards())
+        assert 0.99 * n <= len(hits) <= n
+        keys = [(-r["score"], r["patch_id"]) for r in hits]
+        assert keys == sorted(keys)
+
+    def test_empty_tags_tie_everywhere_broken_by_patch_id(self, system):
+        q = system.encode_query(Query("Q0", "bellevue", "", ()))
+        hits = search_hnsw(system.hnsw_shards(), system.store.meta, q, k=15).collect()
+        assert len(hits) == 15
+        assert all(r["score"] == 0 for r in hits)
+        ids = [r["patch_id"] for r in hits]
+        assert ids == sorted(ids)
+
+    def test_empty_store_returns_empty_frame_with_schema(self, system, qvec):
+        s = system.store
+        shards = build_hnsw_shards(s.vectors.limit(0), n_shards=4)
+        got = search_hnsw(shards, s.meta.limit(0), qvec, k=10)
+        assert got.columns == s.meta.columns + ["score"]
+        assert got.collect() == []
