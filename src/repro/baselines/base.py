@@ -8,6 +8,9 @@ from repro.core.metrics import QueryResult
 from repro.vocab.encoders import CostModel
 from repro.vocab.vocabulary import Vocabulary
 
+#: The one schema of a baseline's scored hits, the rows ``top_ranked`` ranks.
+HIT_SCHEMA = "video_id int, frame_idx int, bbox array<double>, score double"
+
 
 class Baseline:
     """Interface all baselines implement.

@@ -22,19 +22,10 @@ import zlib
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import types as T
 
+from repro.baselines.base import HIT_SCHEMA
 from repro.queries.workload import Query
 from repro.vocab.encoders import CostModel
-
-_SCAN_SCHEMA = T.StructType(
-    [
-        T.StructField("video_id", T.IntegerType()),
-        T.StructField("frame_idx", T.IntegerType()),
-        T.StructField("bbox", T.ArrayType(T.DoubleType())),
-        T.StructField("score", T.DoubleType()),
-    ]
-)
 
 
 def qd_scan(
@@ -79,4 +70,4 @@ def qd_scan(
 
     return patches.select(
         "patch_id", "video_id", "frame_idx", "is_object", "tags", "bbox"
-    ).mapInPandas(_scan, schema=_SCAN_SCHEMA)
+    ).mapInPandas(_scan, schema=HIT_SCHEMA)

@@ -22,7 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.base import Baseline
+from repro.baselines.base import HIT_SCHEMA, Baseline
 from repro.baselines.zelda import frame_features
 from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
@@ -84,9 +84,8 @@ class Umt(Baseline):
                     out.append((int(vid), int(fids[best]), list(boxes[best]), score))
                 yield pd.DataFrame(out, columns=["video_id", "frame_idx", "bbox", "score"])
 
-        schema = "video_id int, frame_idx int, bbox array<double>, score double"
         hits = (
             self.clips.coalesce(1)  # one transformer instance = one GPU
-            .mapInPandas(_attend, schema=schema)
+            .mapInPandas(_attend, schema=HIT_SCHEMA)
         )
         return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.baselines.base import Baseline
+from repro.baselines.base import HIT_SCHEMA, Baseline
 from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 from repro.vocab.encoders import _stable_rng
@@ -112,12 +112,11 @@ class Visa(Baseline):
                 if out:
                     yield pd.DataFrame(out, columns=["video_id", "frame_idx", "bbox", "score"])
 
-        schema = "video_id int, frame_idx int, bbox array<double>, score double"
         hits = (
             self.patches.select(
                 "patch_id", "video_id", "frame_idx", "track_id", "is_object", "tags", "bbox"
             )
             .coalesce(1)  # sequential LLM token generation: one instance
-            .mapInPandas(_reason, schema=schema)
+            .mapInPandas(_reason, schema=HIT_SCHEMA)
         )
         return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

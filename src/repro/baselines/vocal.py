@@ -61,7 +61,7 @@ class Vocal(Baseline):
         if head is not None and tag_name(head) in MSCOCO_CLASSES:
             hits = (
                 self.index.filter(F.col("cls").contains(head))
-                .orderBy(F.desc("conf"))
+                .orderBy(F.desc("conf"), "patch_id")
                 .limit(k)
                 .collect()
             )

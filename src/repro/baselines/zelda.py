@@ -18,7 +18,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
-from repro.baselines.base import Baseline
+from repro.baselines.base import HIT_SCHEMA, Baseline
 from repro.core.metrics import QueryResult, top_ranked
 from repro.queries.workload import Query
 from repro.vocab.encoders import CoarseTextEncoder, perceived_track_tags
@@ -118,6 +118,5 @@ class Zelda(Baseline):
                     }
                 )
 
-        schema = "video_id int, frame_idx int, bbox array<double>, score double"
-        hits = self.frames.mapInPandas(_score, schema=schema)
+        hits = self.frames.mapInPandas(_score, schema=HIT_SCHEMA)
         return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)

@@ -58,7 +58,6 @@ class LOVO:
         self.coarse = CoarseTextEncoder(self.vocab)
         self.quant = None
         self.store = None
-        self._encoded: DataFrame | None = None
         self._hnsw_shards: DataFrame | None = None
 
     # -- offline ----------------------------------------------------------
@@ -87,11 +86,9 @@ class LOVO:
             seed=cfg.seed,
         )
         t2 = time.perf_counter()
-        self._encoded = encoded
         self._hnsw_shards = None
-        n_keyframes = (
-            encoded.select("video_id", "frame_idx").distinct().count()
-        )
+        n_keyframes = self.store.meta.select("video_id", "frame_idx").distinct().count()
+        encoded.unpersist()  # the cached store tables are now the one copy
         return BuildReport(
             n_frames=n_frames,
             n_keyframes=n_keyframes,
@@ -183,7 +180,5 @@ class LOVO:
         """Release cached index state."""
         if self.store is not None:
             self.store.unpersist()
-        if self._encoded is not None:
-            self._encoded.unpersist()
         if self._hnsw_shards is not None:
             self._hnsw_shards.unpersist()

@@ -1,9 +1,9 @@
 """Brute-force exact search (Table V's LOVO(BF), and the w/o-ANNS ablation).
 
 Scores every stored vector against the query — the full-database scan
-that Algorithm 1 avoids — as one Arrow read of ``vectors`` and one
-matrix-vector product in driver numpy, then ranks and attaches the
-relational metadata with ``top_hits`` (one ``meta`` read): two Spark
+that Algorithm 1 avoids — with ``scan`` (one Arrow read of ``vectors``
+and one matrix-vector product in driver numpy), then ranks and attaches
+the relational metadata with ``top_hits`` (one ``meta`` read): two Spark
 jobs and no Python worker.
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.index.store import top_hits
+from repro.index.store import scan, top_hits
 
 
 def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
@@ -27,9 +27,7 @@ def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
     small scale.
     """
     q = np.asarray(q, dtype=np.float64)
-    vec = store.vectors.select("patch_id", "embedding").toArrow()
+    patch_id, score = scan(store.vectors, q)
     if cost is not None:
-        cost.burn("ann_scan_vector", vec.num_rows)
-    emb = vec.column("embedding").combine_chunks()
-    X = emb.flatten().to_numpy().reshape(vec.num_rows, q.size)
-    return top_hits(store.meta, vec.column("patch_id").to_numpy(), X @ q, k)
+        cost.burn("ann_scan_vector", len(patch_id))
+    return top_hits(store.meta, patch_id, score, k)

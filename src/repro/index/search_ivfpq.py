@@ -18,9 +18,11 @@ multi-index of Babenko & Lempitsky (CVPR 2012):
   line 16     (patch-id majority vote across subspace components) — count
               and summed approx score per patch; the shortlist is ranked
               by (votes, summed score, ``patch_id``);
-  lines 13–15, 17 (exact rescore + final sort) — ``patch_id IN`` reads
-              of the shortlisted ``vectors`` and ``meta`` rows, q·x in
-              numpy, final top-k by (score, ``patch_id``).
+  lines 13–15 (exact rescore) — ``scan`` of the shortlisted
+              ``vectors`` rows (one ``patch_id IN`` read), q·x in numpy;
+  line 17     (final sort) — ``top_hits``, as in BF and HNSW: top-k by
+              (score, ``patch_id``), then one ``IN`` read of the
+              winners' ``meta`` rows.
 
 No join, window, groupBy or global sort runs in Spark, so the answer
 does not depend on how the tables are partitioned.
@@ -30,10 +32,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import types as T
 
 from repro.index.pq import PQQuantizer
-from repro.index.store import VectorStore, isin
+from repro.index.store import VectorStore, isin, scan, top_hits
 
 
 def top_a_clusters(clut: np.ndarray, top_a: int) -> np.ndarray:
@@ -70,47 +71,30 @@ def search_ivfpq(
     *,
     top_a: int = 8,
     k: int = 50,
-    per_subspace_k: int | None = None,
-    rescore_factor: int = 4,
     cost=None,
 ) -> DataFrame:
-    """Top-k hits (meta columns plus ``score`` and ``votes``) via the multi-index.
+    """Top-k hits (meta columns plus ``score``) via the multi-index.
 
-    ``per_subspace_k`` bounds how many components survive line 12 per
-    subspace; defaults to ``8·k`` so the union across P subspaces keeps
-    enough distinct patch ids to fill the final top-k.
-    ``rescore_factor`` oversamples the vote-ranked shortlist before the
-    exact rescore (lines 13–15), so approximation error in the ADC
-    scores cannot evict true top-k members — the standard IVF-PQ
+    Line 12 keeps ``8·k`` components per subspace, so the union across P
+    subspaces keeps enough distinct patch ids to fill the final top-k.
+    The vote-ranked shortlist holds ``4·k`` patches before the exact
+    rescore (lines 13–15), so approximation error in the ADC scores
+    cannot evict true top-k members — the standard IVF-PQ
     candidate-oversampling refinement.
     ``cost`` charges ``ann_scan_vector`` units on the driver: 1/P of a
     vector per posting read (a doubled index, Table IV w/o key frames,
     doubles it) plus one per shortlisted vector rescored exactly.
     """
     q = np.asarray(q, dtype=np.float64)
-    kp = per_subspace_k or 8 * k
     clut, rlut = quant.coarse_lut(q), quant.residual_lut(q)
     P, kc = clut.shape
     keys = (np.arange(P)[:, None] * kc + top_a_clusters(clut, top_a)).ravel().tolist()
     post = store.components.filter(isin(f"p * {kc} + cluster", keys)).toPandas()
     p = post["p"].to_numpy()
     approx = clut[p, post["cluster"].to_numpy()] + rlut[p, post["rcode"].to_numpy()]
-    short = vote(p, post["patch_id"].to_numpy(), approx, kp, k * rescore_factor)
+    short = vote(p, post["patch_id"].to_numpy(), approx, 8 * k, 4 * k)
     if cost is not None:
         cost.burn("ann_scan_vector", len(post) / P + len(short))
 
-    ids = short["patch_id"].tolist()
-    vec = store.vectors.filter(isin("patch_id", ids)).toPandas()
-    meta = store.meta.filter(isin("patch_id", ids)).toPandas()
-    scores = np.stack(vec["embedding"].to_numpy()) @ q if len(vec) else np.zeros(0)
-    hits = (
-        meta.merge(pd.DataFrame({"patch_id": vec["patch_id"], "score": scores}), on="patch_id")
-        .merge(short[["patch_id", "votes"]], on="patch_id")
-        .sort_values(["score", "patch_id"], ascending=[False, True])
-        .head(k)
-    )
-    schema = T.StructType(
-        store.meta.schema.fields
-        + [T.StructField("score", T.DoubleType()), T.StructField("votes", T.LongType())]
-    )
-    return store.meta.sparkSession.createDataFrame(hits[schema.names], schema)
+    shortlist = store.vectors.filter(isin("patch_id", short["patch_id"].tolist()))
+    return top_hits(store.meta, *scan(shortlist, q), k)

@@ -14,9 +14,10 @@ and the relational metadata store linked by the shared patch id:
 
 All three are Spark DataFrames; ``save``/``load`` round-trip through
 Parquet so the index is a persistent on-disk artefact, as in Milvus.
-A query reads them through ``isin``, one SQL ``IN`` filter per read, and
-the BF and HNSW searches end in ``top_hits``: their driver-side scores
-ranked, then the winners' ``meta`` rows read.
+A query reads them through ``isin``, one SQL ``IN`` filter per read;
+BF and IVF-PQ score ``vectors`` rows with ``scan``, and all three
+searches end in ``top_hits``: their driver-side scores ranked, then the
+winners' ``meta`` rows read.
 """
 from __future__ import annotations
 
@@ -41,6 +42,14 @@ def isin(col: str, values: list) -> Column:
         return F.lit(False)
     lits = (f"({','.join(map(str, v))})" if isinstance(v, tuple) else str(v) for v in values)
     return F.expr(f"{col} IN ({','.join(lits)})")
+
+
+def scan(vectors: DataFrame, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(patch_id, q·x)`` of every row of ``vectors``: one Arrow read, one ``X @ q``."""
+    vec = vectors.select("patch_id", "embedding").toArrow()
+    emb = vec.column("embedding").combine_chunks()
+    X = emb.flatten().to_numpy().reshape(vec.num_rows, q.size)
+    return vec.column("patch_id").to_numpy(), X @ q
 
 
 def top_hits(meta: DataFrame, patch_id: np.ndarray, score: np.ndarray, k: int) -> DataFrame:

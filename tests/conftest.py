@@ -48,6 +48,17 @@ def spark_jobs(spark, fn) -> list[int]:
     return list(sc.statusTracker().getJobIdsForGroup(group))
 
 
+def cached_rdds(spark) -> dict[int, int]:
+    """Executor storage memory in bytes per cached RDD id.
+
+    The listener bus is drained first, so storage filled by a job that
+    just finished is counted.
+    """
+    sc = spark.sparkContext._jsc.sc()
+    sc.listenerBus().waitUntilEmpty()
+    return {int(i.id()): int(i.memSize()) for i in sc.getRDDStorageInfo()}
+
+
 @pytest.fixture(scope="session")
 def bellevue_profile():
     return profile("bellevue", 0.25)

@@ -68,6 +68,19 @@ class TestVocal:
         q = Query("QX", "bellevue", "a black suv", ("class:suv", "attr:black"))
         assert processed["vocal"].query(q, k=20).results == []
 
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_conf_ties_broken_by_patch_id(self, spark, partitions):
+        """Equal ``conf`` ranks lower patch_id first, however the index is partitioned."""
+        vocal = Vocal(spark, TEST_CFG)
+        rows = [("class:bus", 0, i, i, [0.0, 0.0, 1.0, 1.0], i, 0.5) for i in range(40, 0, -1)]
+        vocal.index = spark.createDataFrame(
+            rows,
+            "cls string, video_id int, frame_idx int, track_id long, bbox array<double>, "
+            "patch_id long, conf double",
+        ).repartition(partitions)
+        got = vocal.query(query_by_id("Q2.3"), k=10).results
+        assert [r.frame_idx for r in got] == list(range(1, 11))
+
     def test_blind_to_attributes(self, processed):
         """Attribute variants of one class produce identical rankings."""
         plain = processed["vocal"].query(query_by_id("Q2.3"), k=20).results

@@ -8,7 +8,7 @@ from repro.core import LOVO
 from repro.index.store import VectorStore
 from repro.queries.workload import query_by_id
 from repro.video.groundtruth import evaluate_ranking, gt_objects_pdf
-from tests.conftest import TEST_CFG, spark_jobs
+from tests.conftest import TEST_CFG, cached_rdds, spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +126,31 @@ class TestQueryEdges:
 
 class TestAblations:
     def test_no_keyframe_indexes_more_vectors(self, spark, bellevue_patches, report):
+        """Also checks what the build leaves cached, and the Spark work it runs.
+
+        The build keeps exactly the three store tables, and ``close()``
+        frees them. Its Spark jobs are capped at the count the build ran
+        when it also kept ``encoded`` cached: releasing that cache must
+        add no job. (Its task count is not compared: with the same code it
+        moves by a few tasks between runs.)
+        """
         cfg = dataclasses.replace(TEST_CFG, use_keyframes=False)
         system = LOVO(spark, cfg)
-        full = system.build(bellevue_patches)
+        before = cached_rdds(spark)
+        built = []
+        jobs = spark_jobs(spark, lambda: built.append(system.build(bellevue_patches)))
         try:
+            full = built[0]
             assert full.n_vectors > report.n_vectors
             assert full.n_keyframes == full.n_frames
+            added = cached_rdds(spark).keys() - before.keys()
+            tables = (system.store.components, system.store.vectors, system.store.meta)
+            assert len(added) == 3
+            assert all(df.storageLevel.useMemory for df in tables)
+            assert len(jobs) <= 21
         finally:
             system.close()
+        assert not added & cached_rdds(spark).keys()
 
     def test_hnsw_shards_lazy_and_cached(self, system):
         a = system.hnsw_shards()

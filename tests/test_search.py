@@ -2,6 +2,7 @@
 import pickle
 
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -22,6 +23,19 @@ def system(lovo_built):
 @pytest.fixture(scope="module")
 def qvec(system):
     return system.encode_query(query_by_id("Q2.1"))
+
+
+def _postings(system, q, top_a):
+    """(p, patch_id, approx) of every posting in the ``top_a`` lists per subspace."""
+    quant = system.quant
+    clut, rlut = quant.coarse_lut(q), quant.residual_lut(q)
+    P, kc = clut.shape
+    keys = np.arange(P)[:, None] * kc + top_a_clusters(clut, top_a)
+    comp = system.store.components.toPandas()
+    post = comp[np.isin(comp["p"] * kc + comp["cluster"], keys)]
+    p = post["p"].to_numpy()
+    approx = clut[p, post["cluster"].to_numpy()] + rlut[p, post["rcode"].to_numpy()]
+    return p, post["patch_id"].to_numpy(), approx
 
 
 def _exact_topk(store, q, k):
@@ -81,7 +95,8 @@ class TestBruteForce:
 
 
 class TestBruteForceEdges:
-    """k > N is the ``k_above_n`` case of ``TestBruteForce::test_matches_exact_numpy_topk``."""
+    """k > N is the ``k_above_n`` case of ``TestBruteForce::test_matches_exact_numpy_topk``;
+    an empty store is ``test_empty_store_returns_empty_frame_with_schema[bf]``."""
 
     def test_empty_tags_tie_everywhere_broken_by_patch_id(self, system):
         q = system.encode_query(Query("Q0", "bellevue", "", ()))
@@ -91,16 +106,9 @@ class TestBruteForceEdges:
         assert [r["patch_id"] for r in hits] == [r["patch_id"] for r in first.collect()]
         assert all(r["score"] == 0 for r in hits)
 
-    def test_empty_store_returns_empty_frame_with_schema(self, system, qvec):
-        s = system.store
-        empty = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
-        got = search_bf(empty, qvec, k=10)
-        assert got.columns == s.meta.columns + ["score"]
-        assert got.collect() == []
 
-
-def _ids_votes(hits):
-    return [(r["patch_id"], r["votes"]) for r in hits]
+def _ids_scores(hits):
+    return [(r["patch_id"], r["score"]) for r in hits]
 
 
 class TestIVFPQ:
@@ -125,9 +133,9 @@ class TestIVFPQ:
         assert scores == sorted(scores, reverse=True)
 
     def test_votes_positive_and_bounded(self, system, qvec):
-        hits = search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect()
-        for r in hits:
-            assert 1 <= r["votes"] <= system.quant.n_subspaces
+        short = vote(*_postings(system, qvec, top_a=6), 8 * 30, 4 * 30)
+        assert len(short) == 4 * 30
+        assert short["votes"].between(1, system.quant.n_subspaces).all()
 
     def test_recall_vs_bruteforce(self, system, qvec):
         """ANNS must recover most of the exact top-k (the paper's premise)."""
@@ -171,15 +179,9 @@ class TestIVFPQ:
 
     def test_vote_aggregation_oracle(self, spark, system, qvec):
         """Per-subspace cut, vote and shortlist (Alg. 1 lines 12, 16) checked against DuckDB."""
-        quant, kp, n = system.quant, 20, 30
-        clut, rlut = quant.coarse_lut(qvec), quant.residual_lut(qvec)
-        P, kc = clut.shape
-        keys = np.arange(P)[:, None] * kc + top_a_clusters(clut, top_a=4)
-        comp = system.store.components.toPandas()
-        post = comp[np.isin(comp["p"] * kc + comp["cluster"], keys)]
-        p = post["p"].to_numpy()
-        approx = clut[p, post["cluster"].to_numpy()] + rlut[p, post["rcode"].to_numpy()]
-        got = vote(p, post["patch_id"].to_numpy(), approx, kp, n)
+        kp, n = 20, 30
+        p, patch_id, approx = _postings(system, qvec, top_a=4)
+        got = vote(p, patch_id, approx, kp, n)
         assert len(got) == n
         assert_equivalent(
             spark.createDataFrame(got.assign(pos=np.arange(1, n + 1))),
@@ -189,7 +191,7 @@ class TestIVFPQ:
             f"FROM cut WHERE rk <= {kp} GROUP BY patch_id) "
             "SELECT *, row_number() OVER (ORDER BY votes DESC, approx_sum DESC, patch_id) "
             f"AS pos FROM voted ORDER BY pos LIMIT {n}",
-            post=post.assign(approx=approx),
+            post=pd.DataFrame({"p": p, "patch_id": patch_id, "approx": approx}),
         )
 
     def test_same_answer_at_any_shuffle_partitions(self, spark, system, qvec):
@@ -198,7 +200,7 @@ class TestIVFPQ:
         try:
             for partitions in (1, 8):
                 spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
-                got.append(_ids_votes(
+                got.append(_ids_scores(
                     search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect()
                 ))
         finally:
@@ -229,7 +231,7 @@ class TestIVFPQEdges:
         assert top_a_clusters(system.quant.coarse_lut(qvec), kc + 5).shape[1] == kc
         every = search_ivfpq(system.store, system.quant, qvec, top_a=kc, k=20).collect()
         over = search_ivfpq(system.store, system.quant, qvec, top_a=3 * kc, k=20).collect()
-        assert _ids_votes(over) == _ids_votes(every)
+        assert _ids_scores(over) == _ids_scores(every)
 
     def test_empty_tags_tie_everywhere_broken_by_patch_id(self, system):
         q = system.encode_query(Query("Q0", "bellevue", "", ()))
@@ -240,13 +242,6 @@ class TestIVFPQEdges:
         first = system.store.vectors.select("patch_id").orderBy("patch_id").limit(15)
         assert [r["patch_id"] for r in hits] == [r["patch_id"] for r in first.collect()]
         assert all(r["score"] == 0 for r in hits)
-
-    def test_empty_store_returns_empty_frame_with_schema(self, system, qvec):
-        s = system.store
-        empty = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
-        got = search_ivfpq(empty, system.quant, qvec, top_a=6, k=10)
-        assert got.columns == s.meta.columns + ["score", "votes"]
-        assert got.collect() == []
 
 
 class TestHNSWSpark:
@@ -328,9 +323,17 @@ class TestHNSWEdges:
         ids = [r["patch_id"] for r in hits]
         assert ids == sorted(ids)
 
-    def test_empty_store_returns_empty_frame_with_schema(self, system, qvec):
-        s = system.store
-        shards = build_hnsw_shards(s.vectors.limit(0), n_shards=4)
-        got = search_hnsw(shards, s.meta.limit(0), qvec, k=10)
-        assert got.columns == s.meta.columns + ["score"]
-        assert got.collect() == []
+
+@pytest.mark.parametrize("variant", ["bf", "ivfpq", "hnsw"])
+def test_empty_store_returns_empty_frame_with_schema(system, qvec, variant):
+    """Every variant answers an empty index with the one result schema: meta plus score."""
+    s = system.store
+    empty = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
+    if variant == "bf":
+        got = search_bf(empty, qvec, k=10)
+    elif variant == "ivfpq":
+        got = search_ivfpq(empty, system.quant, qvec, top_a=6, k=10)
+    else:
+        got = search_hnsw(build_hnsw_shards(empty.vectors, n_shards=4), empty.meta, qvec, k=10)
+    assert got.columns == s.meta.columns + ["score"]
+    assert got.collect() == []
