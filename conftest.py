@@ -62,13 +62,15 @@ def spark() -> SparkSession:
     builder the jobs and the benchmark use, ``repro.spark.get_spark``.
     """
     s = get_spark("repro")
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the test log with the driver memory and whether the
+    # cgroup derivation saw the real limit (README § Spark target), the
+    # master and the shuffle partition count the session ran with.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
+        f"defaultParallelism={s.sparkContext.defaultParallelism} "
+        f"shuffle.partitions={s.conf.get('spark.sql.shuffle.partitions')}",
         file=sys.stderr,
     )
     yield s

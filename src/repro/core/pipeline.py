@@ -76,6 +76,9 @@ class LOVO:
             selected = patches
         encoded = encode_patches(selected, cfg).persist()
         n_vectors = encoded.count()  # materialise: this is the processing phase
+        if not n_vectors:
+            encoded.unpersist()
+            raise ValueError("the corpus has no patches: nothing to train the index on")
         t1 = time.perf_counter()
         self.quant, self.store = build_index(
             encoded,

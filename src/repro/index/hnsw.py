@@ -8,11 +8,12 @@ selection with degree pruning. Unit-norm vectors, cosine distance
 
 Distributed deployment follows the standard sharded pattern (a single
 global graph cannot be built data-parallel): vectors are hash-
-partitioned into shards and one graph is built per shard inside a Spark
-task, serialised into a cached table. A query reads the shard blobs in
-one Spark job, searches every graph on the driver and merges the
-per-shard top-k with ``top_hits`` (one ``meta`` read), so it runs two
-Spark jobs and no Python worker. This preserves HNSW's cost/recall
+partitioned into shards and one graph per shard is built in a Spark task
+from a seeded shuffle of ``patch_id`` order (never the order the rows
+arrive in) and serialised into a cached table. A query reads the shard
+blobs in one Spark job, searches every graph on the driver and merges
+the per-shard top-k with ``top_hits`` (one ``meta`` read), so it runs
+two Spark jobs and no Python worker. This preserves HNSW's cost/recall
 profile while fitting the Spark execution model.
 """
 from __future__ import annotations
@@ -143,6 +144,9 @@ def build_hnsw_shards(
     """One HNSW graph per hash shard, serialised into a small DataFrame."""
 
     def _build(key, pdf):
+        # Not plain patch_id order (a track's patches in a row strand more nodes in
+        # pruning), nor default_rng(seed + shard): it would replay the level stream.
+        pdf = pdf.sort_values("patch_id").sample(frac=1.0, random_state=seed + int(key[0]))
         ids = pdf["patch_id"].to_numpy()
         X = np.stack(pdf["embedding"].to_numpy())
         g = build_graph(ids, X, m=m, ef_construction=ef_construction,

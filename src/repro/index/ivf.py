@@ -3,9 +3,10 @@
 Input: an *encoded* patches DataFrame with ``patch_id``, ``embedding``
 (array<double>, unit norm), plus metadata columns. Steps:
 
-1. sample embeddings to the driver and train the two-level product
-   quantizer (`repro.index.pq`) — standard IVF-PQ practice (Milvus and
-   faiss train codebooks on a sample too);
+1. train the two-level product quantizer (`repro.index.pq`) on the
+   ``train_sample`` rows with the smallest seeded ``xxhash64(seed,
+   patch_id)``, a driver-side sample that no partitioning changes
+   (Milvus and faiss train codebooks on a sample too);
 2. broadcast the codebooks and assign every vector's per-subspace
    ``(cluster, rcode)`` pair with a ``mapInPandas`` pass;
 3. explode to component rows — the inverted lists — and split metadata
@@ -71,12 +72,11 @@ def build_index(
     cache: bool = True,
 ) -> tuple[PQQuantizer, VectorStore]:
     """Train the quantizer and materialise the three index tables."""
-    n = encoded.count()
-    frac = min(1.0, train_sample / max(n, 1))
     sample = (
-        encoded.select("embedding").sample(fraction=frac, seed=seed).toPandas()
-        if frac < 1.0
-        else encoded.select("embedding").toPandas()
+        encoded.orderBy(F.xxhash64(F.lit(seed), "patch_id"), "patch_id")
+        .select("embedding")
+        .limit(train_sample)
+        .toPandas()
     )
     X = np.stack(sample["embedding"].to_numpy())
     quant = train_quantizer(

@@ -66,19 +66,26 @@ def bellevue_profile():
 
 @pytest.fixture(scope="session")
 def bellevue_patches(spark, bellevue_profile):
-    df = generate_dataset(spark, bellevue_profile).persist()
-    df.count()
-    yield df
-    df.unpersist()
+    # Checkpointed, not cached: Spark uncaches by plan, and `run_table1`'s
+    # unpersist of its own Bellevue sf 0.25 set would drop a cached copy here
+    # too, so every later test regenerated it.
+    return generate_dataset(spark, bellevue_profile).localCheckpoint()
 
 
 @pytest.fixture(scope="session")
-def lovo_built(spark, bellevue_patches):
-    """A LOVO system with its index built over the tiny Bellevue set."""
+def lovo_built_jobs(spark, bellevue_patches):
+    """A LOVO system built over the tiny Bellevue set, its report and its build's Spark jobs."""
     system = LOVO(spark, TEST_CFG)
-    report = system.build(bellevue_patches)
-    yield system, report
+    built = []
+    jobs = spark_jobs(spark, lambda: built.append(system.build(bellevue_patches)))
+    yield system, built[0], jobs
     system.close()
+
+
+@pytest.fixture(scope="session")
+def lovo_built(lovo_built_jobs):
+    """A LOVO system with its index built over the tiny Bellevue set, and its report."""
+    return lovo_built_jobs[:2]
 
 
 @pytest.fixture(scope="session")

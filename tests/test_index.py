@@ -111,3 +111,16 @@ class TestBuildIndex:
         assert quant.coarse.shape == (4, 8, 4)
         assert store.components.count() == 800
         assert "embedding" not in store.meta.columns
+
+    @pytest.mark.parametrize("partitions", [1, 3, 7])
+    def test_codebooks_independent_of_input_partitions(self, built, partitions):
+        """The PQ sample is chosen by a seeded hash of ``patch_id``, not per partition."""
+        quant, store, _ = built
+        got, _ = build_index(
+            store.vectors.repartition(partitions),
+            n_subspaces=TEST_CFG.n_subspaces, k_coarse=TEST_CFG.k_coarse,
+            k_residual=TEST_CFG.k_residual, train_sample=TEST_CFG.train_sample,
+            seed=TEST_CFG.seed, cache=False,
+        )
+        np.testing.assert_array_equal(got.coarse, quant.coarse)
+        np.testing.assert_array_equal(got.residual, quant.residual)

@@ -7,7 +7,9 @@ import pytest
 from repro.core import LOVO
 from repro.index.store import VectorStore
 from repro.queries.workload import query_by_id
+from repro.video.generator import generate_dataset
 from repro.video.groundtruth import evaluate_ranking, gt_objects_pdf
+from repro.video.scenes import profile
 from tests.conftest import TEST_CFG, cached_rdds, spark_jobs
 
 
@@ -36,6 +38,16 @@ class TestBuild:
 
     def test_store_materialised(self, system, report):
         assert system.store.n_vectors() == report.n_vectors
+
+    def test_keyframe_build_at_most_23_spark_jobs(self, lovo_built_jobs):
+        """Releasing ``encoded`` before the store tables are built re-encodes: 45 jobs."""
+        assert len(lovo_built_jobs[2]) <= 23
+
+    def test_corpus_without_patches_raises_and_caches_nothing(self, spark, bellevue_patches):
+        before = cached_rdds(spark)
+        with pytest.raises(ValueError, match="no patches"):
+            LOVO(spark, TEST_CFG).build(bellevue_patches.limit(0))
+        assert cached_rdds(spark).keys() <= before.keys()
 
     def test_query_before_build_raises(self, spark):
         with pytest.raises(RuntimeError):
@@ -130,9 +142,10 @@ class TestAblations:
 
         The build keeps exactly the three store tables, and ``close()``
         frees them. Its Spark jobs are capped at the count the build ran
-        when it also kept ``encoded`` cached: releasing that cache must
-        add no job. (Its task count is not compared: with the same code it
-        moves by a few tasks between runs.)
+        when it also kept ``encoded`` cached, less the two jobs the
+        hash-chosen PQ sample saves: releasing that cache must add no job.
+        (Its task count is not compared: with the same code it moves by a
+        few tasks between runs.)
         """
         cfg = dataclasses.replace(TEST_CFG, use_keyframes=False)
         system = LOVO(spark, cfg)
@@ -147,7 +160,7 @@ class TestAblations:
             tables = (system.store.components, system.store.vectors, system.store.meta)
             assert len(added) == 3
             assert all(df.storageLevel.useMemory for df in tables)
-            assert len(jobs) <= 21
+            assert len(jobs) <= 19
         finally:
             system.close()
         assert not added & cached_rdds(spark).keys()
@@ -157,3 +170,30 @@ class TestAblations:
         b = system.hnsw_shards()
         assert a is b
         assert a.count() == TEST_CFG.hnsw_shards
+
+
+class TestCorpusWithoutObjects:
+    """A corpus of background patches only: no track, so no ground truth."""
+
+    @pytest.fixture(scope="class")
+    def built(self, spark):
+        prof = dataclasses.replace(profile("bellevue", 0.05), track_specs=())
+        patches = generate_dataset(spark, prof).persist()
+        system = LOVO(spark, TEST_CFG)
+        report = system.build(patches)
+        yield system, report
+        system.close()
+        patches.unpersist()
+
+    def test_builds_background_only(self, built):
+        _, report = built
+        assert 0 < report.n_keyframes < report.n_frames
+        assert report.n_vectors > 0
+
+    @pytest.mark.parametrize("variant", ["bf", "ivfpq", "hnsw"])
+    def test_every_variant_answers(self, built, variant):
+        system, _ = built
+        res = system.query(query_by_id("Q2.3"), variant=variant, k=20)
+        assert res.results
+        scores = [r.score for r in res.results]
+        assert scores == sorted(scores, reverse=True)

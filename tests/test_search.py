@@ -277,6 +277,18 @@ class TestHNSWSpark:
         row = search_hnsw(shards, system.store.meta, qvec, k=5).collect()[0]
         assert "tags" in row.asDict() and "pred_bbox" in row.asDict()
 
+    @pytest.mark.parametrize("partitions", [1, 3, 7])
+    def test_same_answer_at_any_input_partitions(self, system, qvec, partitions):
+        """Each shard inserts its rows in a seeded order, not in the order they arrive."""
+        shards = build_hnsw_shards(
+            system.store.vectors.repartition(partitions), n_shards=TEST_CFG.hnsw_shards,
+            m=TEST_CFG.hnsw_m, ef_construction=TEST_CFG.hnsw_ef, seed=TEST_CFG.seed,
+        )
+        meta = system.store.meta
+        assert _ids_scores(search_hnsw(shards, meta, qvec, k=30).collect()) == _ids_scores(
+            search_hnsw(system.hnsw_shards(), meta, qvec, k=30).collect()
+        )
+
     def test_at_most_two_spark_jobs(self, spark, system, qvec):
         """One read of the shard graphs, one meta read — no Python worker."""
         shards = system.hnsw_shards()
