@@ -3,7 +3,6 @@
 Usage: spark-submit jobs/build_index.py --dataset bellevue --sf 0.5 --out /tmp/lovo_index
 """
 import argparse
-import os
 import sys, pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -18,7 +17,7 @@ from repro.video.scenes import profile
 def main():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--dataset", default="bellevue")
-    p.add_argument("--sf", type=float, default=float(os.environ.get("REPRO_SF", 0.5)))
+    p.add_argument("--sf", type=float, default=0.5)
     p.add_argument("--out", default="/tmp/lovo_index")
     args = p.parse_args()
     spark = get_spark("build_index")

@@ -7,6 +7,7 @@ from repro.experiments.tables import (
     run_table5,
     run_table7,
     format_rows,
+    score_query,
 )
 
 __all__ = [
@@ -17,4 +18,5 @@ __all__ = [
     "run_table5",
     "run_table7",
     "format_rows",
+    "score_query",
 ]

@@ -9,13 +9,16 @@ per dataset); ``cost_scale`` drives the calibrated model-compute burns
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from collections.abc import Iterable
 
-from pyspark.sql import SparkSession
+from pyspark import StorageLevel
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines import Figo, Miris, Umt, Visa, Vocal, Zelda
-from repro.core import LOVO, LOVOConfig
+from repro.core import LOVO, EvalReport, LOVOConfig, QueryResult
+from repro.core.pipeline import BuildReport
 from repro.queries.workload import (
     ALL_QUERIES,
     EXTENSION_QUERIES,
@@ -32,17 +35,61 @@ def job_config(cost_scale: float = 0.0) -> LOVOConfig:
     return LOVOConfig(k=60, n=0, cost_scale=cost_scale)
 
 
+@contextlib.contextmanager
 def _dataset(spark: SparkSession, name: str, sf: float):
+    """Generate ``name`` at ``sf``, cached for the run; release what the run cached.
+
+    Yields ``(prof, patches, lovo)``, where ``lovo(cfg)`` builds a LOVO
+    system over the patches and returns it with its ``BuildReport``.
+    On exit every such system is closed. Spark caches by plan, so a
+    dataset another holder already cached (same profile, sf and seed)
+    is reused as is and left cached.
+    """
     prof = profile(name, sf)
-    patches = generate_dataset(spark, prof).persist()
-    patches.count()
-    return prof, patches
+    patches = generate_dataset(spark, prof)
+    owned = patches.storageLevel == StorageLevel.NONE
+    if owned:
+        patches.persist()
+    systems = []
+
+    def lovo(cfg: LOVOConfig) -> tuple[LOVO, BuildReport]:
+        system = LOVO(spark, cfg)
+        systems.append(system)
+        return system, system.build(patches)
+
+    try:
+        patches.count()
+        yield prof, patches, lovo
+    finally:
+        for system in systems:
+            system.close()
+        if owned:
+            patches.unpersist()
 
 
-def _k_for(patches, query: Query, cap: int = 150) -> tuple[int, object]:
+def score_query(
+    system, patches: DataFrame, query: Query, **query_kw
+) -> tuple[QueryResult, EvalReport]:
+    """Run ``query`` on ``system`` for 10·|GT| results (10 to 150) and score it.
+
+    ``system`` is LOVO or a baseline; ``query_kw`` goes to its ``query``.
+    """
     gt = gt_objects_pdf(patches, query)
-    n_gt = int(gt["track_id"].nunique())
-    return max(10, min(10 * n_gt, cap)), gt
+    k = max(10, min(10 * int(gt["track_id"].nunique()), 150))
+    result = system.query(query, k=k, **query_kw)
+    return result, evaluate_ranking(result.results, gt)
+
+
+def _timed_rows(label: dict, system: LOVO, rep: BuildReport, patches: DataFrame,
+                queries: Iterable[Query], **query_kw) -> list[dict]:
+    """AveP / Search / Total rows of one system, one column per query."""
+    row_ap, row_se, row_to = ({**label, "Metric": m} for m in ("AveP", "Search", "Total"))
+    for q in queries:
+        r, ev = score_query(system, patches, q, **query_kw)
+        row_ap[q.qid] = ev.avep
+        row_se[q.qid] = r.search_time
+        row_to[q.qid] = rep.total_time + r.search_time
+    return [row_ap, row_se, row_to]
 
 
 def format_rows(rows: Iterable[dict], *, floatfmt: str = "{:.2f}") -> str:
@@ -75,38 +122,35 @@ def run_table1(spark: SparkSession, *, sf: float = 0.3, cost_scale: float = 0.0)
     QA-index (VOCAL), QD-search (MIRIS+FiGO best-of), Vision-based
     (VISA, the large vision-language model).
     """
-    prof, patches = _dataset(spark, "bellevue", sf)
     cfg = job_config(cost_scale)
-    vocal = Vocal(spark, cfg); vocal.process(patches)
-    miris = Miris(spark, cfg); miris.process(patches)
-    figo = Figo(spark, cfg); figo.process(patches)
-    visa = Visa(spark, cfg, daily_life=False); visa.process(patches)
     levels = {
         "Predefined Classes": query_by_id("Q2.3"),   # "a bus" — MSCOCO class
         "Simple Descriptions": query_by_id("Q2.4"),  # attribute description
         "Complex Queries": query_by_id("Q2.2"),      # relations / full sentence
     }
     rows = []
-    avep = {}
-    for level, q in levels.items():
-        k, gt = _k_for(patches, q)
-        def ap(b):
-            return evaluate_ranking(b.query(q, k=k).results, gt).avep
-        avep[level] = {
-            "QA-index": ap(vocal),
-            "QD-search": max(ap(miris), ap(figo)),
-            "Vision-based": ap(visa),
-        }
-        rows.append(
-            {
-                "Capability": level,
-                **{
-                    fam: ("Yes" if v > 0.3 else "No") + f" ({v:.2f})"
-                    for fam, v in avep[level].items()
-                },
+    with _dataset(spark, "bellevue", sf) as (_, patches, _):
+        vocal = Vocal(spark, cfg); vocal.process(patches)
+        miris = Miris(spark, cfg); miris.process(patches)
+        figo = Figo(spark, cfg); figo.process(patches)
+        visa = Visa(spark, cfg, daily_life=False); visa.process(patches)
+        for level, q in levels.items():
+            def ap(b):
+                return score_query(b, patches, q)[1].avep
+            avep = {
+                "QA-index": ap(vocal),
+                "QD-search": max(ap(miris), ap(figo)),
+                "Vision-based": ap(visa),
             }
-        )
-    patches.unpersist()
+            rows.append(
+                {
+                    "Capability": level,
+                    **{
+                        fam: ("Yes" if v > 0.3 else "No") + f" ({v:.2f})"
+                        for fam, v in avep.items()
+                    },
+                }
+            )
     return rows
 
 
@@ -128,62 +172,39 @@ def run_table2(extension: bool = False):
 # Table III — ZELDA / UMT / VISA / LOVO execution time per dataset
 # ---------------------------------------------------------------------------
 
-def run_table3(
-    spark: SparkSession,
-    *,
-    sf: float = 0.5,
-    cost_scale: float = 25.0,
-    datasets: tuple[str, ...] = ("cityscapes", "bellevue", "qvhighlights", "beach"),
-    queries_per_dataset: int = 2,
-    with_accuracy: bool = False,
-):
-    """Processing / Search / Total seconds for each method × dataset.
+def run_table3(spark: SparkSession, *, sf: float = 0.5, cost_scale: float = 25.0):
+    """Processing / Search / Total seconds and AveP for each method × dataset.
 
-    Search time is averaged over the dataset's first
-    ``queries_per_dataset`` workload queries, as the paper averages per
-    query. Set ``with_accuracy`` to also record AveP per method.
+    Search time and AveP are averaged over the dataset's first two
+    workload queries, as the paper averages per query.
     """
+    cfg = job_config(cost_scale)
     rows = []
-    for ds in datasets:
-        prof, patches = _dataset(spark, ds, sf)
-        cfg = job_config(cost_scale)
-        qs = queries_for_dataset(ds)[:queries_per_dataset]
+    for ds in ("cityscapes", "bellevue", "qvhighlights", "beach"):
+        with _dataset(spark, ds, sf) as (prof, patches, lovo):
+            qs = queries_for_dataset(ds)[:2]
+            system, rep = lovo(cfg)
+            systems = {"LOVO": (system, rep.total_time)}
+            for name, b in (
+                ("ZELDA", Zelda(spark, cfg)),
+                ("UMT", Umt(spark, cfg, daily_life=prof.daily_life)),
+                ("VISA", Visa(spark, cfg, daily_life=prof.daily_life)),
+            ):
+                systems[name] = (b, b.process(patches))
+            system.query(qs[0], k=10)  # JIT/shuffle warm-up, not timed below
 
-        systems = {}
-        lovo = LOVO(spark, cfg)
-        rep = lovo.build(patches)
-        systems["LOVO"] = (lovo, rep.total_time)
-        for name, b in (
-            ("ZELDA", Zelda(spark, cfg)),
-            ("UMT", Umt(spark, cfg, daily_life=prof.daily_life)),
-            ("VISA", Visa(spark, cfg, daily_life=prof.daily_life)),
-        ):
-            t = b.process(patches)
-            systems[name] = (b, t)
-        lovo.query(qs[0], k=10)  # JIT/shuffle warm-up, not timed below
-
-        for name in ("ZELDA", "UMT", "VISA", "LOVO"):
-            sysm, ptime = systems[name]
-            stimes, aveps = [], []
-            for q in qs:
-                k, gt = _k_for(patches, q)
-                r = sysm.query(q, k=k)
-                stimes.append(r.search_time)
-                if with_accuracy:
-                    aveps.append(evaluate_ranking(r.results, gt).avep)
-            search = sum(stimes) / len(stimes)
-            row = {
-                "Method": name,
-                "Dataset": ds,
-                "Processing": ptime,
-                "Search": search,
-                "Total": ptime + search,
-            }
-            if with_accuracy:
-                row["AveP"] = sum(aveps) / len(aveps)
-            rows.append(row)
-        lovo.close()
-        patches.unpersist()
+            for name in ("ZELDA", "UMT", "VISA", "LOVO"):
+                sysm, ptime = systems[name]
+                scored = [score_query(sysm, patches, q) for q in qs]
+                search = sum(r.search_time for r, _ in scored) / len(qs)
+                rows.append({
+                    "Method": name,
+                    "Dataset": ds,
+                    "Processing": ptime,
+                    "Search": search,
+                    "Total": ptime + search,
+                    "AveP": sum(ev.avep for _, ev in scored) / len(qs),
+                })
     return rows
 
 
@@ -205,45 +226,39 @@ def run_table4(
     """
     cfg = job_config(cost_scale)
     datasets = {query_by_id(q).dataset for q in qids}
-    built = {}
-    for ds in datasets:
-        prof, patches = _dataset(spark, ds, sf)
-        full = LOVO(spark, cfg)
-        full.build(patches)
-        nokf = LOVO(spark, dataclasses.replace(cfg, use_keyframes=False))
-        nokf.build(patches)
-        warm = queries_for_dataset(ds)[0]
-        for system in (full, nokf):  # steady-state every measured path
-            system.query(warm, k=10)
-            system.query(warm, variant="bf", k=10)
-            system.query(warm, use_rerank=False, k=10)
-        built[ds] = (patches, full, nokf)
-
     rows = []
-    variants = ("LOVO", "w/o Rerank", "w/o ANNS", "w/o Key frame")
-    for variant in variants:
-        row_ap = {"Variant": variant, "Metric": "AveP"}
-        row_fs = {"Variant": variant, "Metric": "Fast Search"}
-        row_rr = {"Variant": variant, "Metric": "Rerank"}
-        for qid in qids:
-            q = query_by_id(qid)
-            patches, full, nokf = built[q.dataset]
-            k, gt = _k_for(patches, q)
-            if variant == "LOVO":
-                r = full.query(q, k=k)
-            elif variant == "w/o Rerank":
-                r = full.query(q, use_rerank=False, k=k)
-            elif variant == "w/o ANNS":
-                r = full.query(q, variant="bf", k=k)
-            else:  # w/o Key frame
-                r = nokf.query(q, k=k)
-            row_ap[qid] = evaluate_ranking(r.results, gt).avep
-            row_fs[qid] = r.fast_time
-            row_rr[qid] = r.rerank_time if r.rerank_time else float("nan")
-        rows += [row_ap, row_fs, row_rr]
+    with contextlib.ExitStack() as stack:
+        built = {}
+        for ds in datasets:
+            _, patches, lovo = stack.enter_context(_dataset(spark, ds, sf))
+            full, _ = lovo(cfg)
+            nokf, _ = lovo(dataclasses.replace(cfg, use_keyframes=False))
+            warm = queries_for_dataset(ds)[0]
+            for system in (full, nokf):  # steady-state every measured path
+                system.query(warm, k=10)
+                system.query(warm, variant="bf", k=10)
+                system.query(warm, use_rerank=False, k=10)
+            built[ds] = (patches, full, nokf)
 
-    for patches, full, nokf in built.values():
-        full.close(); nokf.close(); patches.unpersist()
+        for variant in ("LOVO", "w/o Rerank", "w/o ANNS", "w/o Key frame"):
+            row_ap = {"Variant": variant, "Metric": "AveP"}
+            row_fs = {"Variant": variant, "Metric": "Fast Search"}
+            row_rr = {"Variant": variant, "Metric": "Rerank"}
+            for qid in qids:
+                q = query_by_id(qid)
+                patches, full, nokf = built[q.dataset]
+                if variant == "LOVO":
+                    r, ev = score_query(full, patches, q)
+                elif variant == "w/o Rerank":
+                    r, ev = score_query(full, patches, q, use_rerank=False)
+                elif variant == "w/o ANNS":
+                    r, ev = score_query(full, patches, q, variant="bf")
+                else:  # w/o Key frame
+                    r, ev = score_query(nokf, patches, q)
+                row_ap[qid] = ev.avep
+                row_fs[qid] = r.fast_time
+                row_rr[qid] = r.rerank_time if r.rerank_time else float("nan")
+            rows += [row_ap, row_fs, row_rr]
     return rows
 
 
@@ -259,28 +274,15 @@ def run_table5(
     qids: tuple[str, ...] = ("Q1.1", "Q1.2", "Q1.3", "Q1.4"),
 ):
     """AveP / Search / Total per ANN variant (paper Table V)."""
-    cfg = job_config(cost_scale)
-    prof, patches = _dataset(spark, "cityscapes", sf)
-    system = LOVO(spark, cfg)
-    rep = system.build(patches)
-    system.hnsw_shards()  # build the graph index up front, like the others
-    for variant in ("bf", "ivfpq", "hnsw"):  # JIT/shuffle warm-up per path
-        system.query(queries_for_dataset("cityscapes")[0], variant=variant, k=10)
     rows = []
-    for variant, label in (("bf", "LOVO(BF)"), ("ivfpq", "LOVO(IVF-PQ)"), ("hnsw", "LOVO(HNSW)")):
-        row_ap = {"Variant": label, "Metric": "AveP"}
-        row_se = {"Variant": label, "Metric": "Search"}
-        row_to = {"Variant": label, "Metric": "Total"}
-        for qid in qids:
-            q = query_by_id(qid)
-            k, gt = _k_for(patches, q)
-            r = system.query(q, variant=variant, k=k)
-            row_ap[qid] = evaluate_ranking(r.results, gt).avep
-            row_se[qid] = r.search_time
-            row_to[qid] = rep.total_time + r.search_time
-        rows += [row_ap, row_se, row_to]
-    system.close()
-    patches.unpersist()
+    with _dataset(spark, "cityscapes", sf) as (_, patches, lovo):
+        system, rep = lovo(job_config(cost_scale))
+        system.hnsw_shards()  # build the graph index up front, like the others
+        for variant in ("bf", "ivfpq", "hnsw"):  # JIT/shuffle warm-up per path
+            system.query(queries_for_dataset("cityscapes")[0], variant=variant, k=10)
+        for variant, label in (("bf", "LOVO(BF)"), ("ivfpq", "LOVO(IVF-PQ)"), ("hnsw", "LOVO(HNSW)")):
+            rows += _timed_rows({"Variant": label}, system, rep, patches,
+                                map(query_by_id, qids), variant=variant)
     return rows
 
 
@@ -290,20 +292,7 @@ def run_table5(
 
 def run_table7(spark: SparkSession, *, sf: float = 0.5, cost_scale: float = 0.0):
     """AveP / Search / Total for EQ1–EQ4 on the ActivityNet profile."""
-    cfg = job_config(cost_scale)
-    prof, patches = _dataset(spark, "activitynet", sf)
-    system = LOVO(spark, cfg)
-    rep = system.build(patches)
-    system.query(EXTENSION_QUERIES[0], k=10)  # JIT/shuffle warm-up
-    row_ap = {"Method": "LOVO", "Metric": "AveP"}
-    row_se = {"Method": "LOVO", "Metric": "Search"}
-    row_to = {"Method": "LOVO", "Metric": "Total"}
-    for q in EXTENSION_QUERIES:
-        k, gt = _k_for(patches, q)
-        r = system.query(q, k=k)
-        row_ap[q.qid] = evaluate_ranking(r.results, gt).avep
-        row_se[q.qid] = r.search_time
-        row_to[q.qid] = rep.total_time + r.search_time
-    system.close()
-    patches.unpersist()
-    return [row_ap, row_se, row_to]
+    with _dataset(spark, "activitynet", sf) as (_, patches, lovo):
+        system, rep = lovo(job_config(cost_scale))
+        system.query(EXTENSION_QUERIES[0], k=10)  # JIT/shuffle warm-up
+        return _timed_rows({"Method": "LOVO"}, system, rep, patches, EXTENSION_QUERIES)

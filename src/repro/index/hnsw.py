@@ -3,8 +3,8 @@
 A compact HNSW (hierarchical navigable small world) implementation in
 numpy: geometric level assignment, greedy descent through upper layers,
 beam search (``ef``) at each layer, simple nearest-M neighbour
-selection with degree pruning. Unit-norm vectors, cosine distance
-``1 − q·x``.
+selection with degree pruning that spares a node's last incoming
+layer-0 edge. Unit-norm vectors, cosine distance ``1 − q·x``.
 
 Distributed deployment follows the standard sharded pattern (a single
 global graph cannot be built data-parallel): vectors are hash-
@@ -44,6 +44,7 @@ class HNSWGraph:
         self.ids: list[int] = []
         self.levels: list[int] = []
         self.neighbors: list[list[list[int]]] = []  # node → level → neighbour nodes
+        self.in_degree0: list[int] = []  # node → lists holding it at layer 0
         self.entry = -1
         self.max_level = -1
 
@@ -76,9 +77,6 @@ class HNSWGraph:
                         heapq.heappop(best)
         return sorted((-nd, e) for nd, e in best)
 
-    def _select(self, cands: list[tuple[float, int]], m: int) -> list[int]:
-        return [e for _, e in cands[:m]]
-
     # -- public API -------------------------------------------------------
     def add(self, ext_id: int, vec: np.ndarray) -> None:
         """Insert one vector with its external id."""
@@ -88,6 +86,7 @@ class HNSWGraph:
         self.ids.append(int(ext_id))
         self.levels.append(level)
         self.neighbors.append([[] for _ in range(level + 1)])
+        self.in_degree0.append(0)
         if self.entry < 0:
             self.entry = node
             self.max_level = level
@@ -98,14 +97,20 @@ class HNSWGraph:
         for lv in range(min(level, self.max_level), -1, -1):
             cands = self._search_layer(vec, ep, self.ef_construction, lv)
             m_max = self.m_max0 if lv == 0 else self.m
-            chosen = self._select(cands, self.m)
-            self.neighbors[node][lv] = list(chosen)
+            chosen = self.neighbors[node][lv] = [e for _, e in cands[: self.m]]
             for nb in chosen:
                 lst = self.neighbors[nb][lv]
                 lst.append(node)
-                if len(lst) > m_max:  # prune to the m_max nearest
+                if lv == 0:  # the edges node → nb and nb → node
+                    self.in_degree0[nb] += 1
+                    self.in_degree0[node] += 1
+                if len(lst) > m_max:  # drop the farthest, sparing a last layer-0 in-edge
                     lst.sort(key=lambda o: 1.0 - float(self.vecs[nb] @ self.vecs[o]))
-                    del lst[m_max:]
+                    drop = lst[-1]
+                    if lv == 0:
+                        drop = next((o for o in reversed(lst) if self.in_degree0[o] > 1), drop)
+                        self.in_degree0[drop] -= 1
+                    lst.remove(drop)
             ep = [e for _, e in cands]
         if level > self.max_level:
             self.max_level = level

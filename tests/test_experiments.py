@@ -10,7 +10,9 @@ the full-scale numbers live in EXPERIMENTS.md (regenerated by jobs/).
 import math
 
 import pytest
+from pyspark import StorageLevel
 
+from repro.core import LOVO
 from repro.experiments import (
     format_rows,
     run_table1,
@@ -19,6 +21,9 @@ from repro.experiments import (
     run_table5,
     run_table7,
 )
+from repro.video.generator import generate_dataset
+from repro.video.scenes import profile
+from tests.conftest import cached_rdds
 
 
 class TestTable2:
@@ -138,3 +143,31 @@ class TestTable7:
         aveps = [ap[q] for q in ("EQ1", "EQ2", "EQ3", "EQ4")]
         assert sum(aveps) / 4 > 0.3
         assert min(aveps) > 0.0  # every extension query is answered
+
+
+@pytest.mark.slow
+class TestTableReleases:
+    """A table run releases what it cached, and only that."""
+
+    SF = 0.1
+
+    def test_keeps_another_holders_cache(self, spark):
+        holder = generate_dataset(spark, profile("activitynet", self.SF)).persist()
+        holder.count()
+        before = cached_rdds(spark)
+        try:
+            run_table7(spark, sf=self.SF, cost_scale=0.0)
+            assert holder.storageLevel != StorageLevel.NONE
+            assert cached_rdds(spark).keys() == before.keys()
+        finally:
+            holder.unpersist()
+
+    def test_releases_everything_when_a_query_raises(self, spark, monkeypatch):
+        def fail(self, query, **kw):
+            raise RuntimeError("query failed")
+
+        monkeypatch.setattr(LOVO, "query", fail)
+        before = cached_rdds(spark)
+        with pytest.raises(RuntimeError, match="query failed"):
+            run_table7(spark, sf=self.SF, cost_scale=0.0)
+        assert cached_rdds(spark) == before

@@ -314,16 +314,19 @@ def _reachable_ids(shards):
 
 
 class TestHNSWEdges:
-    def test_k_above_n_returns_every_reachable_vector_sorted(self, system, qvec):
-        """Every vector its shard graph's bottom layer reaches from the entry point.
+    def test_every_node_but_the_entry_has_an_incoming_layer0_edge(self, system):
+        """Degree pruning never strands a node: each one is some node's layer-0 neighbour."""
+        for r in system.hnsw_shards().select("blob").collect():
+            g = pickle.loads(r["blob"])
+            targets = {nb for per_level in g.neighbors for nb in per_level[0]}
+            assert set(range(len(g.ids))) - targets <= {g.entry}
 
-        Degree pruning can leave a node with no incoming edge, which no
-        search can return, so this may be fewer than all N vectors.
-        """
+    def test_k_above_n_returns_every_reachable_vector_sorted(self, system, qvec):
+        """Every vector its shard graph's bottom layer reaches from the entry point: all N."""
         n = system.store.n_vectors()
         hits = search_hnsw(system.hnsw_shards(), system.store.meta, qvec, k=n + 10).collect()
         assert {r["patch_id"] for r in hits} == _reachable_ids(system.hnsw_shards())
-        assert 0.99 * n <= len(hits) <= n
+        assert len(hits) == n
         keys = [(-r["score"], r["patch_id"]) for r in hits]
         assert keys == sorted(keys)
 
