@@ -16,11 +16,12 @@ class Baseline:
     """Interface all baselines implement.
 
     ``process`` is the offline/ingest phase (may be a no-op for pure
-    QD-search systems) and returns its wall-clock seconds; ``query``
-    answers one workload query with a ``QueryResult`` whose ``fast_time``
-    is the whole query time. Baselines reuse LOVOConfig's noise
-    parameters so every system perceives the same synthetic world, and
-    its ``cost_scale`` so measured times are comparable.
+    QD-search systems) and returns its wall-clock seconds, and ``close``
+    releases what it cached; ``query`` answers one workload query with a
+    ``QueryResult`` whose ``fast_time`` is the whole query time.
+    Baselines reuse LOVOConfig's noise parameters so every system
+    perceives the same synthetic world, and its ``cost_scale`` so
+    measured times are comparable.
     """
 
     name: str = "base"
@@ -39,3 +40,6 @@ class Baseline:
 
     def query(self, query, *, k: int = 50) -> QueryResult:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what ``process`` cached; default no-op (nothing cached)."""

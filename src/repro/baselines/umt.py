@@ -31,6 +31,7 @@ from repro.queries.workload import Query
 class Umt(Baseline):
     name = "umt"
     clip_len = 8  # frames per clip (a "moment" unit)
+    clips: DataFrame | None = None  # cached by process
 
     def __init__(self, spark, cfg=None, *, daily_life: bool = False):
         super().__init__(spark, cfg)
@@ -89,3 +90,7 @@ class Umt(Baseline):
             .mapInPandas(_attend, schema=HIT_SCHEMA)
         )
         return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)
+
+    def close(self) -> None:
+        if self.clips is not None:
+            self.clips.unpersist()

@@ -26,6 +26,7 @@ from repro.vocab.vocabulary import MSCOCO_CLASSES, tag_name
 
 class Vocal(Baseline):
     name = "vocal"
+    index: DataFrame | None = None  # cached by process
 
     def process(self, patches: DataFrame) -> float:
         t0 = time.perf_counter()
@@ -75,3 +76,7 @@ class Vocal(Baseline):
                 for r in hits
             ]
         return QueryResult(query.qid, rows, time.perf_counter() - t0)
+
+    def close(self) -> None:
+        if self.index is not None:
+            self.index.unpersist()

@@ -89,6 +89,7 @@ def frame_features(patches: DataFrame, cfg, cost, *, cost_field: str) -> DataFra
 
 class Zelda(Baseline):
     name = "zelda"
+    frames: DataFrame | None = None  # cached by process
 
     def process(self, patches: DataFrame) -> float:
         t0 = time.perf_counter()
@@ -120,3 +121,7 @@ class Zelda(Baseline):
 
         hits = self.frames.mapInPandas(_score, schema=HIT_SCHEMA)
         return QueryResult(query.qid, top_ranked(hits.toPandas(), k), time.perf_counter() - t0)
+
+    def close(self) -> None:
+        if self.frames is not None:
+            self.frames.unpersist()

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.baselines import Figo, Miris, Umt, Visa, Vocal, Zelda
+from repro.baselines import Baseline, Figo, Miris, Umt, Visa, Vocal, Zelda
 from repro.core import LOVO, EvalReport, LOVOConfig, QueryResult
 from repro.core.pipeline import BuildReport
 from repro.queries.workload import (
@@ -39,11 +39,13 @@ def job_config(cost_scale: float = 0.0) -> LOVOConfig:
 def _dataset(spark: SparkSession, name: str, sf: float):
     """Generate ``name`` at ``sf``, cached for the run; release what the run cached.
 
-    Yields ``(prof, patches, lovo)``, where ``lovo(cfg)`` builds a LOVO
-    system over the patches and returns it with its ``BuildReport``.
-    On exit every such system is closed. Spark caches by plan, so a
-    dataset another holder already cached (same profile, sf and seed)
-    is reused as is and left cached.
+    Yields ``(prof, patches, lovo, process)``, where ``lovo(cfg)`` builds
+    a LOVO system over the patches and returns it with its
+    ``BuildReport``, and ``process(baseline)`` runs a baseline's offline
+    phase over them and returns it with its processing seconds. On exit
+    every such system is closed. Spark caches by plan, so a dataset
+    another holder already cached (same profile, sf and seed) is reused
+    as is and left cached.
     """
     prof = profile(name, sf)
     patches = generate_dataset(spark, prof)
@@ -57,9 +59,13 @@ def _dataset(spark: SparkSession, name: str, sf: float):
         systems.append(system)
         return system, system.build(patches)
 
+    def process(baseline: Baseline) -> tuple[Baseline, float]:
+        systems.append(baseline)
+        return baseline, baseline.process(patches)
+
     try:
         patches.count()
-        yield prof, patches, lovo
+        yield prof, patches, lovo, process
     finally:
         for system in systems:
             system.close()
@@ -129,11 +135,11 @@ def run_table1(spark: SparkSession, *, sf: float = 0.3, cost_scale: float = 0.0)
         "Complex Queries": query_by_id("Q2.2"),      # relations / full sentence
     }
     rows = []
-    with _dataset(spark, "bellevue", sf) as (_, patches, _):
-        vocal = Vocal(spark, cfg); vocal.process(patches)
-        miris = Miris(spark, cfg); miris.process(patches)
-        figo = Figo(spark, cfg); figo.process(patches)
-        visa = Visa(spark, cfg, daily_life=False); visa.process(patches)
+    with _dataset(spark, "bellevue", sf) as (_, patches, _, process):
+        vocal, _ = process(Vocal(spark, cfg))
+        miris, _ = process(Miris(spark, cfg))
+        figo, _ = process(Figo(spark, cfg))
+        visa, _ = process(Visa(spark, cfg, daily_life=False))
         for level, q in levels.items():
             def ap(b):
                 return score_query(b, patches, q)[1].avep
@@ -181,16 +187,15 @@ def run_table3(spark: SparkSession, *, sf: float = 0.5, cost_scale: float = 25.0
     cfg = job_config(cost_scale)
     rows = []
     for ds in ("cityscapes", "bellevue", "qvhighlights", "beach"):
-        with _dataset(spark, ds, sf) as (prof, patches, lovo):
+        with _dataset(spark, ds, sf) as (prof, patches, lovo, process):
             qs = queries_for_dataset(ds)[:2]
             system, rep = lovo(cfg)
-            systems = {"LOVO": (system, rep.total_time)}
-            for name, b in (
-                ("ZELDA", Zelda(spark, cfg)),
-                ("UMT", Umt(spark, cfg, daily_life=prof.daily_life)),
-                ("VISA", Visa(spark, cfg, daily_life=prof.daily_life)),
-            ):
-                systems[name] = (b, b.process(patches))
+            systems = {
+                "LOVO": (system, rep.total_time),
+                "ZELDA": process(Zelda(spark, cfg)),
+                "UMT": process(Umt(spark, cfg, daily_life=prof.daily_life)),
+                "VISA": process(Visa(spark, cfg, daily_life=prof.daily_life)),
+            }
             system.query(qs[0], k=10)  # JIT/shuffle warm-up, not timed below
 
             for name in ("ZELDA", "UMT", "VISA", "LOVO"):
@@ -230,7 +235,7 @@ def run_table4(
     with contextlib.ExitStack() as stack:
         built = {}
         for ds in datasets:
-            _, patches, lovo = stack.enter_context(_dataset(spark, ds, sf))
+            _, patches, lovo, _ = stack.enter_context(_dataset(spark, ds, sf))
             full, _ = lovo(cfg)
             nokf, _ = lovo(dataclasses.replace(cfg, use_keyframes=False))
             warm = queries_for_dataset(ds)[0]
@@ -275,7 +280,7 @@ def run_table5(
 ):
     """AveP / Search / Total per ANN variant (paper Table V)."""
     rows = []
-    with _dataset(spark, "cityscapes", sf) as (_, patches, lovo):
+    with _dataset(spark, "cityscapes", sf) as (_, patches, lovo, _):
         system, rep = lovo(job_config(cost_scale))
         system.hnsw_shards()  # build the graph index up front, like the others
         for variant in ("bf", "ivfpq", "hnsw"):  # JIT/shuffle warm-up per path
@@ -292,7 +297,7 @@ def run_table5(
 
 def run_table7(spark: SparkSession, *, sf: float = 0.5, cost_scale: float = 0.0):
     """AveP / Search / Total for EQ1–EQ4 on the ActivityNet profile."""
-    with _dataset(spark, "activitynet", sf) as (_, patches, lovo):
+    with _dataset(spark, "activitynet", sf) as (_, patches, lovo, _):
         system, rep = lovo(job_config(cost_scale))
         system.query(EXTENSION_QUERIES[0], k=10)  # JIT/shuffle warm-up
         return _timed_rows({"Method": "LOVO"}, system, rep, patches, EXTENSION_QUERIES)

@@ -8,7 +8,8 @@ and votes over them in driver-side numpy. Three search variants back
 the paper's Table V, each as Spark reads plus driver-side numpy:
 brute-force (BF), quantisation-based inverted indexing (IVF-PQ) and
 sharded graph search (HNSW). All three end in ``store.top_hits`` and
-return one result schema: the ``meta`` columns plus ``score``.
+return one result schema: ``store.HIT_COLUMNS`` (patch id, frame key,
+predicted box) plus ``score``.
 """
 from repro.index.pq import PQQuantizer, train_quantizer
 from repro.index.store import VectorStore

@@ -11,9 +11,10 @@ global graph cannot be built data-parallel): vectors are hash-
 partitioned into shards and one graph per shard is built in a Spark task
 from a seeded shuffle of ``patch_id`` order (never the order the rows
 arrive in) and serialised into a cached table. A query reads the shard
-blobs in one Spark job, searches every graph on the driver and merges
-the per-shard top-k with ``top_hits`` (one ``meta`` read), so it runs
-two Spark jobs and no Python worker. This preserves HNSW's cost/recall
+blobs in one Spark job, searches every graph on the driver, reads the
+k best candidates' frame keys and boxes with one ``patch_id IN`` read of
+``meta`` and ranks them with ``top_hits``, so it runs two Spark jobs and
+no Python worker. This preserves HNSW's cost/recall
 profile while fitting the Spark execution model.
 """
 from __future__ import annotations
@@ -24,11 +25,12 @@ import pickle
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.index.store import top_hits
+from repro.index.store import HIT_COLUMNS, isin, top_hits
 
 
 class HNSWGraph:
@@ -146,7 +148,11 @@ def build_hnsw_shards(
     vectors: DataFrame, *, n_shards: int = 8, m: int = 8,
     ef_construction: int = 64, seed: int = 0,
 ) -> DataFrame:
-    """One HNSW graph per hash shard, serialised into a small DataFrame."""
+    """One HNSW graph per hash shard, serialised into a small DataFrame.
+
+    Only ``patch_id`` and ``embedding`` of ``vectors`` reach the Python
+    worker.
+    """
 
     def _build(key, pdf):
         # Not plain patch_id order (a track's patches in a row strand more nodes in
@@ -158,7 +164,7 @@ def build_hnsw_shards(
                         seed=seed + int(key[0]))
         return pd.DataFrame({"shard": [int(key[0])], "blob": [pickle.dumps(g)]})
 
-    sharded = vectors.withColumn(
+    sharded = vectors.select("patch_id", "embedding").withColumn(
         "shard", (F.pmod(F.col("patch_id"), F.lit(n_shards))).cast("int")
     )
     return sharded.groupBy("shard").applyInPandas(_build, schema=_SHARD_SCHEMA)
@@ -167,13 +173,16 @@ def build_hnsw_shards(
 def search_hnsw(
     shards: DataFrame, meta: DataFrame, q: np.ndarray, *, k: int = 50, ef: int = 64
 ) -> DataFrame:
-    """Search every shard graph on the driver, merge, attach metadata."""
+    """Search every shard graph on the driver, merge, attach the hit columns."""
     qv = np.asarray(q, dtype=np.float64)
-    hits = [
+    found = dict(
         h
         for r in shards.select("blob").collect()
         for h in pickle.loads(r["blob"]).search(qv, k, ef=ef)
-    ]
-    patch_id = np.array([h[0] for h in hits], dtype=np.int64)
-    score = np.array([h[1] for h in hits], dtype=np.float64)
-    return top_hits(meta, patch_id, score, k)
+    )
+    ids = np.fromiter(found, dtype=np.int64, count=len(found))
+    sims = np.fromiter(found.values(), dtype=np.float64, count=len(found))
+    best = ids[np.lexsort((ids, -sims))[:k]].tolist()
+    rows = meta.select(*HIT_COLUMNS).filter(isin("patch_id", best)).toArrow()
+    score = pa.array([found[p] for p in rows.column("patch_id").to_pylist()], pa.float64())
+    return top_hits(rows.append_column("score", score), k)

@@ -10,7 +10,8 @@ Input: an *encoded* patches DataFrame with ``patch_id``, ``embedding``
 2. broadcast the codebooks and assign every vector's per-subspace
    ``(cluster, rcode)`` pair with a ``mapInPandas`` pass;
 3. explode to component rows — the inverted lists — and split metadata
-   into the relational side table.
+   into the relational side table, keeping each vector's frame key and
+   box (``HIT_COLUMNS``) beside it so that a search reads no metadata.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.index.pq import PQQuantizer, train_quantizer
-from repro.index.store import VectorStore
+from repro.index.store import HIT_COLUMNS, VectorStore
 
 _CODES_SCHEMA = T.StructType(
     [
@@ -88,7 +89,7 @@ def build_index(
     )
     store = VectorStore(
         components=assign_components(encoded, quant),
-        vectors=encoded.select("patch_id", "embedding"),
+        vectors=encoded.select(*HIT_COLUMNS, "embedding"),
         meta=encoded.drop("embedding"),
     )
     if cache:

@@ -1,10 +1,10 @@
 """Brute-force exact search (Table V's LOVO(BF), and the w/o-ANNS ablation).
 
 Scores every stored vector against the query — the full-database scan
-that Algorithm 1 avoids — with ``scan`` (one Arrow read of ``vectors``
-and one matrix-vector product in driver numpy), then ranks and attaches
-the relational metadata with ``top_hits`` (one ``meta`` read): two Spark
-jobs and no Python worker.
+that Algorithm 1 avoids — with ``scan`` (one Arrow read of ``vectors``,
+whose rows carry each hit's frame key and box, and one matrix-vector
+product in driver numpy), then ranks on the driver with ``top_hits``:
+one Spark job and no Python worker.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.index.store import scan, top_hits
 
 
 def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
-    """Exact top-k hits with metadata attached, sorted by descending score.
+    """Exact top-k hits (``HIT_COLUMNS`` plus ``score``), by descending score.
 
     Score ties are broken by ascending ``patch_id``, as in the IVF-PQ and
     HNSW paths, so the answer does not depend on partitioning.
@@ -27,7 +27,7 @@ def search_bf(store, q: np.ndarray, *, k: int = 50, cost=None) -> DataFrame:
     small scale.
     """
     q = np.asarray(q, dtype=np.float64)
-    patch_id, score = scan(store.vectors, q)
+    hits = scan(store.vectors, q)
     if cost is not None:
-        cost.burn("ann_scan_vector", len(patch_id))
-    return top_hits(store.meta, patch_id, score, k)
+        cost.burn("ann_scan_vector", hits.num_rows)
+    return top_hits(hits, k)

@@ -1,6 +1,6 @@
 """Algorithm 1 — Approximate Nearest Neighbor Search over the multi-index.
 
-One fast search is three Spark reads of the cached index tables; the
+One fast search is two Spark reads of the cached index tables; the
 maths between them runs in driver-side numpy over at most P·A inverted
 lists, the IVFADC scheme of Jégou et al. (TPAMI 2011) over the inverted
 multi-index of Babenko & Lempitsky (CVPR 2012):
@@ -19,10 +19,10 @@ multi-index of Babenko & Lempitsky (CVPR 2012):
               and summed approx score per patch; the shortlist is ranked
               by (votes, summed score, ``patch_id``);
   lines 13–15 (exact rescore) — ``scan`` of the shortlisted
-              ``vectors`` rows (one ``patch_id IN`` read), q·x in numpy;
+              ``vectors`` rows (one ``patch_id IN`` read, which also
+              returns each hit's frame key and box), q·x in numpy;
   line 17     (final sort) — ``top_hits``, as in BF and HNSW: top-k by
-              (score, ``patch_id``), then one ``IN`` read of the
-              winners' ``meta`` rows.
+              (score, ``patch_id``) on the driver.
 
 No join, window, groupBy or global sort runs in Spark, so the answer
 does not depend on how the tables are partitioned.
@@ -73,7 +73,7 @@ def search_ivfpq(
     k: int = 50,
     cost=None,
 ) -> DataFrame:
-    """Top-k hits (meta columns plus ``score``) via the multi-index.
+    """Top-k hits (``HIT_COLUMNS`` plus ``score``) via the multi-index.
 
     Line 12 keeps ``8·k`` components per subspace, so the union across P
     subspaces keeps enough distinct patch ids to fill the final top-k.
@@ -97,4 +97,4 @@ def search_ivfpq(
         cost.burn("ann_scan_vector", len(post) / P + len(short))
 
     shortlist = store.vectors.filter(isin("patch_id", short["patch_id"].tolist()))
-    return top_hits(store.meta, *scan(shortlist, q), k)
+    return top_hits(scan(shortlist, q), k)

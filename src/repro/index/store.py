@@ -8,16 +8,18 @@ and the relational metadata store linked by the shared patch id:
   on ``(p, cluster)`` is the inverted-list lookup.
 * ``vectors``    — original embeddings (centroid + residual recovers the
   original, so keeping the vector is the paper's stored-residual
-  equivalent); used for the exact rescore step and brute-force search.
+  equivalent), used for the exact rescore step and brute-force search,
+  stored with each hit's frame key and predicted box (``HIT_COLUMNS``),
+  the stored scalar fields a vector database returns with a hit.
 * ``meta``       — the "relational database": key-frame identity, tags
   (the rerank stage's token source) and the predicted bounding box.
 
 All three are Spark DataFrames; ``save``/``load`` round-trip through
 Parquet so the index is a persistent on-disk artefact, as in Milvus.
 A query reads them through ``isin``, one SQL ``IN`` filter per read;
-BF and IVF-PQ score ``vectors`` rows with ``scan``, and all three
-searches end in ``top_hits``: their driver-side scores ranked, then the
-winners' ``meta`` rows read.
+BF and IVF-PQ score ``vectors`` rows with ``scan``, one Arrow read that
+returns the hits whole, and all three searches end in ``top_hits``,
+which ranks them on the driver without reading anything.
 """
 from __future__ import annotations
 
@@ -25,10 +27,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
+
+#: What a search returns per hit besides ``score``, stored in ``vectors``.
+HIT_COLUMNS = ("patch_id", "video_id", "frame_idx", "pred_bbox")
 
 
 def isin(col: str, values: list) -> Column:
@@ -44,27 +48,25 @@ def isin(col: str, values: list) -> Column:
     return F.expr(f"{col} IN ({','.join(lits)})")
 
 
-def scan(vectors: DataFrame, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(patch_id, q·x)`` of every row of ``vectors``: one Arrow read, one ``X @ q``."""
-    vec = vectors.select("patch_id", "embedding").toArrow()
-    emb = vec.column("embedding").combine_chunks()
-    X = emb.flatten().to_numpy().reshape(vec.num_rows, q.size)
-    return vec.column("patch_id").to_numpy(), X @ q
+def scan(vectors: DataFrame, q: np.ndarray) -> pa.Table:
+    """``HIT_COLUMNS`` of every row of ``vectors`` plus ``score = q·x``.
+
+    One Arrow read and one ``X @ q`` in driver numpy.
+    """
+    tbl = vectors.select(*HIT_COLUMNS, "embedding").toArrow()
+    emb = tbl.column("embedding").combine_chunks()
+    X = emb.flatten().to_numpy().reshape(tbl.num_rows, q.size)
+    return tbl.drop_columns("embedding").append_column("score", pa.array(X @ q))
 
 
-def top_hits(meta: DataFrame, patch_id: np.ndarray, score: np.ndarray, k: int) -> DataFrame:
-    """The ``k`` best scored patches with their ``meta`` rows, best first.
+def top_hits(hits: pa.Table, k: int) -> DataFrame:
+    """The ``k`` best of ``hits`` (``HIT_COLUMNS`` plus ``score``), best first.
 
     Ranks by descending ``score``, ties by ascending ``patch_id``, in
-    numpy; reads the winners' rows with one ``patch_id IN`` filter and
-    returns a local DataFrame of the meta columns plus ``score``.
+    numpy, and returns the winners as a local DataFrame: no Spark job.
     """
-    best = np.lexsort((patch_id, -score))[:k]
-    ranked = pd.DataFrame({"patch_id": patch_id[best], "score": score[best]})
-    rows = meta.filter(isin("patch_id", ranked["patch_id"].tolist())).toPandas()
-    hits = ranked.merge(rows, on="patch_id")  # an inner merge keeps the ranked order
-    schema = T.StructType(meta.schema.fields + [T.StructField("score", T.DoubleType())])
-    return meta.sparkSession.createDataFrame(hits[schema.names], schema)
+    best = np.lexsort((hits.column("patch_id").to_numpy(), -hits.column("score").to_numpy()))
+    return SparkSession.active().createDataFrame(hits.take(best[:k]))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from repro.experiments import (
     format_rows,
     run_table1,
     run_table2,
+    run_table3,
     run_table4,
     run_table5,
     run_table7,
@@ -161,6 +162,13 @@ class TestTableReleases:
             assert cached_rdds(spark).keys() == before.keys()
         finally:
             holder.unpersist()
+
+    @pytest.mark.parametrize("run_table", [run_table1, run_table3], ids=["table1", "table3"])
+    def test_releases_the_baselines_caches(self, spark, run_table):
+        """VOCAL's index, UMT's clips and ZELDA's frames are released with the dataset."""
+        before = cached_rdds(spark)
+        run_table(spark, sf=self.SF, cost_scale=0.0)
+        assert cached_rdds(spark).keys() == before.keys()
 
     def test_releases_everything_when_a_query_raises(self, spark, monkeypatch):
         def fail(self, query, **kw):

@@ -71,6 +71,14 @@ class TestStore:
         only_meta = store.meta.join(store.vectors, "patch_id", "left_anti").count()
         assert only_meta == 0
 
+    def test_vectors_hold_meta_hit_columns(self, built):
+        """Each vector's frame key and box are exactly its ``meta`` row's."""
+        _, store, _ = built
+        cols = ["patch_id", "video_id", "frame_idx", "pred_bbox"]
+        vec, meta = store.vectors.select(*cols), store.meta.select(*cols)
+        assert vec.exceptAll(meta).count() == 0
+        assert meta.exceptAll(vec).count() == 0
+
     def test_embeddings_unit_norm(self, built):
         _, store, _ = built
         sample = store.vectors.limit(20).toPandas()
@@ -101,6 +109,7 @@ class TestBuildIndex:
                 "patch_id": np.arange(200),
                 "video_id": 0,
                 "frame_idx": np.arange(200) // 10,
+                "pred_bbox": [[0.0, 0.0, 1.0, 1.0]] * 200,
                 "embedding": [list(x) for x in X],
             }
         )

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core import LOVO
-from repro.index.store import VectorStore
+from repro.core.metrics import RankedResult, top_ranked
+from repro.core.rerank import score_frames
+from repro.index.store import VectorStore, isin
 from repro.queries.workload import query_by_id
 from repro.video.generator import generate_dataset
 from repro.video.groundtruth import evaluate_ranking, gt_objects_pdf
@@ -130,10 +132,47 @@ class TestQueryEdges:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
         assert got[0] and got[0] == got[1]
 
-    def test_ivfpq_with_rerank_at_most_four_spark_jobs(self, spark, system):
-        """Three search reads and one rerank read; the ranking runs on the driver."""
+    def test_ivfpq_with_rerank_at_most_three_spark_jobs(self, spark, system):
+        """Two search reads and one rerank read; the ranking runs on the driver."""
         jobs = spark_jobs(spark, lambda: system.query(query_by_id("Q2.2"), variant="ivfpq"))
-        assert 1 <= len(jobs) <= 4
+        assert 1 <= len(jobs) <= 3
+
+    def test_bf_with_rerank_at_most_two_spark_jobs(self, spark, system):
+        """One vectors read and one rerank read; the ranking runs on the driver."""
+        jobs = spark_jobs(spark, lambda: system.query(query_by_id("Q2.2"), variant="bf"))
+        assert 1 <= len(jobs) <= 2
+
+    @pytest.mark.parametrize("use_rerank", [True, False], ids=["rerank", "fast-only"])
+    @pytest.mark.parametrize("variant", ["bf", "ivfpq", "hnsw"])
+    @pytest.mark.parametrize("qid", ["Q2.1", "Q2.2", "Q2.3", "Q2.4"])
+    def test_same_answer_as_hits_joined_to_meta(self, system, qid, variant, use_rerank):
+        """The frame keys and boxes stored in ``vectors`` give the answers ``meta`` gives."""
+        q = query_by_id(qid)
+        got = system.query(q, variant=variant, use_rerank=use_rerank).results
+        assert got and got == _query_via_meta(system, q, variant, use_rerank)
+
+
+def _query_via_meta(system, query, variant, use_rerank):
+    """``LOVO.query`` with each hit's frame key and box read from ``meta``.
+
+    The reference for the hit columns stored in ``vectors``: the fast
+    search's ranked ``(patch_id, score)`` list is merged with the rows of
+    one ``patch_id IN`` read of ``meta``, and the rerank reads the frames
+    this gives.
+    """
+    ranked = system.fast_search(query, variant=variant).select("patch_id", "score").toPandas()
+    rows = system.store.meta.filter(isin("patch_id", ranked["patch_id"].tolist())).toPandas()
+    hits = ranked.merge(rows, on="patch_id")  # an inner merge keeps the ranked order
+    if not use_rerank:
+        return [
+            RankedResult(int(v), int(f), tuple(b), float(s))
+            for v, f, b, s in zip(hits["video_id"], hits["frame_idx"], hits["pred_bbox"],
+                                  hits["score"])
+        ]
+    frames = sorted({(int(v), int(f)) for v, f in zip(hits["video_id"], hits["frame_idx"])})
+    frame_patches = system.store.meta.filter(isin("(video_id, frame_idx)", frames))
+    return top_ranked(score_frames(frame_patches, query, system.cfg),
+                      system.cfg.n or len(frames), score="rerank_score")
 
 
 class TestAblations:

@@ -46,6 +46,20 @@ def _exact_topk(store, q, k):
     return list(zip(ids[best].tolist(), scores[best].tolist()))
 
 
+def _hit_rows(hits):
+    """``(patch_id, video_id, frame_idx, pred_bbox)`` of each hit, in order."""
+    return [(r["patch_id"], r["video_id"], r["frame_idx"], r["pred_bbox"]) for r in hits.collect()]
+
+
+def _meta_rows(system, patch_ids):
+    """The same columns of each of ``patch_ids``, read from ``meta``."""
+    meta = system.store.meta.toPandas().set_index("patch_id")
+    return [
+        (p, meta.at[p, "video_id"], meta.at[p, "frame_idx"], list(meta.at[p, "pred_bbox"]))
+        for p in patch_ids
+    ]
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("extra", [1, 25, None], ids=["k1", "k25", "k_above_n"])
     def test_matches_exact_numpy_topk(self, system, qvec, extra):
@@ -65,19 +79,22 @@ class TestBruteForce:
         assert scores == sorted(scores, reverse=True)
 
     def test_metadata_attached(self, system, qvec):
-        row = search_bf(system.store, qvec, k=5).collect()[0]
-        for col in ("video_id", "frame_idx", "tags", "pred_bbox"):
-            assert col in row.asDict()
+        got = _hit_rows(search_bf(system.store, qvec, k=5))
+        assert got == _meta_rows(system, [p for p, _ in _exact_topk(system.store, qvec, 5)])
 
     @pytest.mark.parametrize("partitions", [1, 8])
     def test_score_ties_broken_by_patch_id(self, spark, partitions):
         """Identical embeddings rank lower patch_id first, however Spark partitions."""
         tied = list(range(40, 0, -1))  # input order is the reverse of the answer
         rows = [(i, [1.0, 0.0]) for i in tied] + [(100, [0.6, 0.8]), (0, [0.0, 1.0])]
+        box = [0.0, 0.0, 1.0, 1.0]
         store = VectorStore(
             components=None,
-            vectors=spark.createDataFrame(rows, "patch_id long, embedding array<double>")
-            .repartition(4),
+            vectors=spark.createDataFrame(
+                [(i, 0, i, box, e) for i, e in rows],
+                "patch_id long, video_id int, frame_idx int, pred_bbox array<double>, "
+                "embedding array<double>",
+            ).repartition(4),
             meta=spark.createDataFrame([(r[0], 0) for r in rows], "patch_id long, video_id int"),
         )
         saved = spark.conf.get("spark.sql.shuffle.partitions")
@@ -88,10 +105,11 @@ class TestBruteForce:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
         assert got == list(range(1, 11))
 
-    def test_at_most_two_spark_jobs(self, spark, system, qvec):
-        """One vectors read, one meta read — no Python worker, sort or join."""
+    def test_one_spark_job(self, spark, system, qvec):
+        """One vectors read, which holds the hit columns — no meta read, Python worker,
+        sort or join."""
         jobs = spark_jobs(spark, lambda: search_bf(system.store, qvec, k=30).collect())
-        assert 1 <= len(jobs) <= 2
+        assert len(jobs) == 1
 
 
 class TestBruteForceEdges:
@@ -207,13 +225,13 @@ class TestIVFPQ:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
         assert got[0] == got[1]
 
-    def test_at_most_three_spark_jobs(self, spark, system, qvec):
-        """One postings read, one vectors read, one meta read — no more."""
+    def test_at_most_two_spark_jobs(self, spark, system, qvec):
+        """One postings read and one vectors read, which holds the hit columns — no more."""
         jobs = spark_jobs(
             spark,
             lambda: search_ivfpq(system.store, system.quant, qvec, top_a=6, k=30).collect(),
         )
-        assert 1 <= len(jobs) <= 3
+        assert 1 <= len(jobs) <= 2
 
 
 class TestIVFPQEdges:
@@ -274,8 +292,9 @@ class TestHNSWSpark:
         assert len(exact & got) / k >= 0.5
 
     def test_metadata_attached(self, system, shards, qvec):
-        row = search_hnsw(shards, system.store.meta, qvec, k=5).collect()[0]
-        assert "tags" in row.asDict() and "pred_bbox" in row.asDict()
+        got = _hit_rows(search_hnsw(shards, system.store.meta, qvec, k=5))
+        assert len(got) == 5
+        assert got == _meta_rows(system, [r[0] for r in got])
 
     @pytest.mark.parametrize("partitions", [1, 3, 7])
     def test_same_answer_at_any_input_partitions(self, system, qvec, partitions):
@@ -290,7 +309,7 @@ class TestHNSWSpark:
         )
 
     def test_at_most_two_spark_jobs(self, spark, system, qvec):
-        """One read of the shard graphs, one meta read — no Python worker."""
+        """One read of the shard graphs, one meta read of the winners — no Python worker."""
         shards = system.hnsw_shards()
         jobs = spark_jobs(
             spark, lambda: search_hnsw(shards, system.store.meta, qvec, k=30).collect()
@@ -341,7 +360,7 @@ class TestHNSWEdges:
 
 @pytest.mark.parametrize("variant", ["bf", "ivfpq", "hnsw"])
 def test_empty_store_returns_empty_frame_with_schema(system, qvec, variant):
-    """Every variant answers an empty index with the one result schema: meta plus score."""
+    """Every variant answers an empty index with the one result schema: hit columns plus score."""
     s = system.store
     empty = VectorStore(s.components.limit(0), s.vectors.limit(0), s.meta.limit(0))
     if variant == "bf":
@@ -350,5 +369,5 @@ def test_empty_store_returns_empty_frame_with_schema(system, qvec, variant):
         got = search_ivfpq(empty, system.quant, qvec, top_a=6, k=10)
     else:
         got = search_hnsw(build_hnsw_shards(empty.vectors, n_shards=4), empty.meta, qvec, k=10)
-    assert got.columns == s.meta.columns + ["score"]
+    assert got.columns == ["patch_id", "video_id", "frame_idx", "pred_bbox", "score"]
     assert got.collect() == []
