@@ -2,14 +2,23 @@ import os
 import sys
 
 
+#: cgroup v2 and v1 memory limit files, read in this order.
+_CGROUP_LIMITS = (
+    "/sys/fs/cgroup/memory.max",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+)
+_MEMINFO = "/proc/meminfo"
+
+
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > half of ``MemTotal``, clamped to 2–8 GiB (the rule of the
+    ROADMAP tier-1 command) > 2g. spark.driver.memory is read at JVM
+    launch, not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS
+    before pyspark is imported anywhere — this runs at conftest import,
+    which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -18,10 +27,7 @@ def _driver_mem() -> str:
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
+    for p in _CGROUP_LIMITS:
         try:
             raw = open(p).read().strip()
             if not raw or raw == "max":
@@ -33,8 +39,14 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open(_MEMINFO) as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, ValueError, IndexError, StopIteration):
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+        return "2g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -17,8 +17,12 @@ the relation tags the coarse fast-search encoder dropped:
   box, reproducing "outputs the frames with the bounding boxes".
 
 Runs on the driver: one Spark read of the candidate frames' patch
-rows, then the per-frame maths in numpy over at most k frames, burning
-calibrated cross-modal-transformer FLOPs per frame.
+rows, then the image tokens of every candidate patch as one matrix
+(seeds hashed for all patches at once, one noise draw per patch,
+per-track prototypes computed once per query), then the per-frame
+maths in numpy over that matrix's row slices, at most k frames,
+burning calibrated cross-modal-transformer FLOPs per frame. Tokens are
+built per query, so nothing is stored or cached across queries.
 """
 from __future__ import annotations
 
@@ -34,6 +38,8 @@ from repro.queries.workload import Query
 from repro.vocab.encoders import (
     FineTextEncoder,
     perceived_track_tags,
+    rng_from_state,
+    seed_states,
     track_perturbation,
 )
 from repro.vocab.vocabulary import Vocabulary
@@ -81,7 +87,7 @@ def enhance(
     return Xi @ Xt.T  # (n_image_tokens, n_text_tokens)
 
 
-def decode_best_patch(S: np.ndarray, owners: list[int]) -> int:
+def decode_best_patch(S: np.ndarray, owners: list[int] | np.ndarray) -> int:
     """Decoder (§VI-B): the patch whose tokens best cover the query.
 
     Per patch, each text token is matched to that patch's best token and
@@ -106,6 +112,65 @@ def rerank_frames(
     )
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Each row's ``np.linalg.norm``, bit for bit: ``sqrt(r @ r)`` per row.
+
+    A 1-D norm is one BLAS ``ddot``; ``norm(axis=1)`` and ``einsum`` sum
+    in another order and can move the last ulp of a token.
+    """
+    return np.sqrt(np.fromiter(map(np.dot, X, X), np.float64, count=len(X)))
+
+
+def _image_tokens(
+    patch_ids: np.ndarray,
+    track_ids: np.ndarray,
+    tags: list[list[str]],
+    cfg: LOVOConfig,
+    vocab: Vocabulary,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit token matrix ``X_I`` of the given patches, and each patch's token count.
+
+    Each tag a patch's track perceives gives one token: its vocabulary
+    vector plus the track's persistent perturbation, plus noise of norm
+    ``token_noise`` drawn from the patch's own ``[seed, 1, patch_id]``
+    stream, normalised. Tokens come in patch order, then tag order.
+    """
+    states = seed_states((cfg.seed, 1), patch_ids)
+    seen_of: dict[tuple, list[str]] = {}
+    base_of: dict[tuple, np.ndarray] = {}
+    bases, draws = [], []
+    counts = np.zeros(len(patch_ids), np.int64)
+    for i, (track_id, patch_tags) in enumerate(zip(track_ids.tolist(), tags)):
+        # the reranker looks at the same pixels the encoder did: an
+        # attribute the perception misses is missed here too
+        key = (track_id, tuple(patch_tags))
+        seen = seen_of.get(key)
+        if seen is None:
+            seen = seen_of[key] = perceived_track_tags(
+                patch_tags, seed=cfg.seed, track_id=track_id,
+                dropout=cfg.attr_dropout, rel_dropout=cfg.rel_dropout,
+            )
+        if not seen:
+            continue
+        for t in seen:
+            base = base_of.get((track_id, t))
+            if base is None:
+                base = base_of[(track_id, t)] = vocab.vec(t) + track_perturbation(
+                    cfg.dim, cfg.token_track_noise, seed=cfg.seed,
+                    track_id=track_id, salt=zlib.crc32(t.encode()),
+                )
+            bases.append(base)
+        # one (n, dim) draw is the same stream as n successive (dim,) draws
+        draws.append(rng_from_state(states[i]).standard_normal((len(seen), cfg.dim)))
+        counts[i] = len(seen)
+    if not draws:
+        return np.zeros((0, cfg.dim)), counts
+    D = np.concatenate(draws)
+    D *= (cfg.token_noise / np.maximum(_row_norms(D), 1e-12))[:, None]
+    V = np.stack(bases) + D  # noises are norms
+    return V / np.maximum(_row_norms(V), 1e-12)[:, None], counts
+
+
 def score_frames(
     frame_patches: DataFrame, query: Query, cfg: LOVOConfig
 ) -> pd.DataFrame:
@@ -113,44 +178,38 @@ def score_frames(
 
     ``frame_patches`` holds the *metadata* rows (patch_id, track_id,
     tags, pred_bbox) of every patch belonging to a candidate frame. They
-    are read in one Spark job and scored frame by frame on the driver,
-    patches in ascending ``patch_id`` order; the result is a pandas
+    are read in one Spark job; the tokens of every patch are built as
+    one matrix, and each frame is scored over its rows on the driver,
+    patches in ascending ``patch_id`` order. The result is a pandas
     frame with ``RERANK_SCHEMA``'s columns.
     """
     cost = cfg.cost()
     vocab = Vocabulary(dim=cfg.dim, seed=cfg.vocab_seed)
     X_T = FineTextEncoder(vocab).encode_tokens(list(query.tags))
-    cols = ["video_id", "frame_idx", "patch_id", "track_id", "tags", "pred_bbox"]
-    pdf = frame_patches.select(*cols).toPandas().sort_values(cols[:3])
+    keys = ["video_id", "frame_idx", "patch_id"]
+    tbl = (
+        frame_patches.select(*keys, "track_id", "tags", "pred_bbox")
+        .toArrow()
+        .sort_by([(c, "ascending") for c in keys])
+    )
+    video, frame, pid, track = (tbl.column(c).to_numpy() for c in keys + ["track_id"])
+    X_I, counts = _image_tokens(pid, track, tbl.column("tags").to_pylist(), cfg, vocab)
+    owners = np.repeat(pid, counts)
+    tok_end = np.cumsum(counts)
+    new_frame = np.ones(len(pid), bool)
+    new_frame[1:] = (video[1:] != video[:-1]) | (frame[1:] != frame[:-1])
+    starts = np.flatnonzero(new_frame)
     out = []
-    for (video_id, frame_idx), frame in pdf.groupby(["video_id", "frame_idx"], sort=False):
+    for s, e in zip(starts, np.r_[starts[1:], len(pid)]):
         cost.burn("lovo_rerank_frame", 1.0)
-        rows, owners = [], []
-        for pid, track_id, tags in zip(frame["patch_id"], frame["track_id"], frame["tags"]):
-            rng = np.random.default_rng([cfg.seed, 1, int(pid)])
-            # the reranker looks at the same pixels the encoder did: an
-            # attribute the perception misses is missed here too
-            seen = perceived_track_tags(
-                list(tags), seed=cfg.seed, track_id=int(track_id),
-                dropout=cfg.attr_dropout, rel_dropout=cfg.rel_dropout,
-            )
-            for t in seen:
-                d = rng.standard_normal(cfg.dim)
-                d *= cfg.token_noise / max(np.linalg.norm(d), 1e-12)
-                persistent = track_perturbation(
-                    cfg.dim, cfg.token_track_noise, seed=cfg.seed,
-                    track_id=int(track_id), salt=zlib.crc32(t.encode()),
-                )
-                v = vocab.vec(t) + persistent + d  # noises are norms
-                rows.append(v / max(np.linalg.norm(v), 1e-12))
-                owners.append(int(pid))
-        if rows:
-            S = enhance(np.stack(rows), X_T)
+        a, b = tok_end[s] - counts[s], tok_end[e - 1]
+        if b > a:
+            S = enhance(X_I[a:b], X_T)
             score = float(S.max(axis=0).mean())
-            best_pid = decode_best_patch(S, owners)
+            best_pid = decode_best_patch(S, owners[a:b])
         else:  # every token dropped: score the frame as irrelevant
             score = -1.0
-            best_pid = int(frame["patch_id"].iloc[0])
-        best_box = list(frame.loc[frame["patch_id"] == best_pid, "pred_bbox"].iloc[0])
-        out.append((int(video_id), int(frame_idx), score, best_box, best_pid))
+            best_pid = int(pid[s])
+        best_box = tbl.column("pred_bbox")[s + int(np.searchsorted(pid[s:e], best_pid))].as_py()
+        out.append((int(video[s]), int(frame[s]), score, best_box, best_pid))
     return pd.DataFrame(out, columns=RERANK_SCHEMA.names)

@@ -22,6 +22,8 @@ from repro.core.config import LOVOConfig
 from repro.vocab.encoders import (
     VisualEncoderSim,
     perceived_track_tags,
+    rng_from_state,
+    seed_states,
     track_perturbation,
 )
 from repro.vocab.vocabulary import Vocabulary
@@ -57,10 +59,12 @@ def encode_patches(patches: DataFrame, cfg: LOVOConfig) -> DataFrame:
                 pdf[["video_id", "frame_idx"]].drop_duplicates().shape[0],
             )
             embs, boxes = [], []
-            for pid, is_obj, track_id, tags, bbox in zip(
-                pdf["patch_id"], pdf["is_object"], pdf["track_id"], pdf["tags"], pdf["bbox"]
+            # default_rng([seed, patch_id]) per patch, hashed once per batch
+            states = seed_states((cfg.seed,), pdf["patch_id"].to_numpy())
+            for state, is_obj, track_id, tags, bbox in zip(
+                states, pdf["is_object"], pdf["track_id"], pdf["tags"], pdf["bbox"]
             ):
-                rng = np.random.default_rng([cfg.seed, int(pid)])
+                rng = rng_from_state(state)
                 tags = list(tags)
                 box = np.asarray(list(bbox), dtype=np.float64)
                 if is_obj:

@@ -27,10 +27,88 @@ _BURN_A: np.ndarray | None = None
 
 import zlib
 
+from numpy.random.bit_generator import ISeedSequence
+
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_M32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)
+
 
 def _stable_rng(*keys: int) -> np.random.Generator:
     """Deterministic RNG from integer keys (order-sensitive)."""
     return np.random.default_rng([int(k) % (2**63) for k in keys])
+
+
+def seed_states(prefix: tuple[int, ...], ids) -> np.ndarray:
+    """``SeedSequence([*prefix, id]).generate_state(4, np.uint64)`` per id.
+
+    Runs numpy's documented ``SeedSequence`` hash (a pool of 4 uint32
+    words) in vectorised uint32 arithmetic over entropy rows
+    ``[*prefix, lo32(id), hi32(id)]``. numpy coerces an id below 2**32 to
+    one word and pads a short pool with ``hashmix(0)``, so the zero high
+    word hashes exactly like that padding: the row is numpy's own
+    entropy for every id in [0, 2**63). Prefix words must be single
+    uint32 words, and at most two, so a row never outgrows the pool.
+    Returns an ``(len(ids), 4)`` uint64 array; see :func:`rng_from_state`.
+    """
+    if len(prefix) > 2 or any(not 0 <= int(w) <= _M32 for w in prefix):
+        raise ValueError(f"prefix must be at most two words in [0, 2**32): {prefix!r}")
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    if (ids < 0).any():
+        raise ValueError("ids must be non-negative")
+    u = ids.astype(np.uint64)
+    n = len(u)
+    entropy = [np.full(n, int(w), np.uint32) for w in prefix]
+    entropy += [(u & np.uint64(_M32)).astype(np.uint32), (u >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SHIFT)
+
+    pool = [hashmix(e) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = r ^ (r >> _SHIFT)
+
+    words, hash_const = [], _INIT_B
+    for i in range(8):  # 4 uint64 = 8 uint32 words, cycling the pool
+        w = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _M32
+        w = w * np.uint32(hash_const)
+        words.append((w ^ (w >> _SHIFT)).astype(np.uint64))
+    lo, hi = np.stack(words[0::2], axis=1), np.stack(words[1::2], axis=1)
+    return lo | (hi << np.uint64(32))  # little-endian word pairs, as numpy's view
+
+
+class _PresetSeed(ISeedSequence):
+    """Hands a bit generator one precomputed ``generate_state(4, uint64)``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset seed holds exactly 4 uint64 words")
+        return self.state
+
+
+def rng_from_state(state: np.ndarray) -> np.random.Generator:
+    """``np.random.default_rng(entropy)`` from a row of :func:`seed_states`.
+
+    The same PCG64 stream, without hashing the entropy per generator.
+    """
+    return np.random.Generator(np.random.PCG64(_PresetSeed(state)))
 
 
 def perceived_track_tags(

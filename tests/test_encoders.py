@@ -10,6 +10,8 @@ from repro.vocab.encoders import (
     FineTextEncoder,
     VisualEncoderSim,
     perceived_track_tags,
+    rng_from_state,
+    seed_states,
     track_perturbation,
 )
 from repro.vocab.vocabulary import Vocabulary
@@ -76,6 +78,60 @@ class TestVisualEncoder:
         enc = VisualEncoderSim(vocab, bbox_noise=0.0)
         b = enc.localize(np.array([0.1, 0.2, 0.3, 0.4]), np.random.default_rng(0))
         np.testing.assert_allclose(b, [0.1, 0.2, 0.3, 0.4])
+
+
+#: Ids at the edges of numpy's uint32-word coercion of an int.
+EDGE_IDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63 - 1]
+PREFIXES = [(s, 1) for s in (0, 7)] + [(s,) for s in (0, 7)]
+
+
+def _numpy_states(prefix, ids):
+    return np.stack(
+        [np.random.SeedSequence([*prefix, int(i)]).generate_state(4, np.uint64) for i in ids]
+    )
+
+
+class TestSeedStates:
+    """``seed_states`` must be numpy's own ``SeedSequence`` hash, word for word."""
+
+    @pytest.fixture(scope="class")
+    def corpus_ids(self, bellevue_patches):
+        return bellevue_patches.select("patch_id").toArrow().column("patch_id").to_numpy()
+
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=str)
+    def test_matches_seed_sequence_on_corpus_ids(self, corpus_ids, prefix):
+        got = seed_states(prefix, corpus_ids)
+        assert got.dtype == np.uint64 and got.shape == (len(corpus_ids), 4)
+        np.testing.assert_array_equal(got, _numpy_states(prefix, corpus_ids))
+
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=str)
+    def test_matches_seed_sequence_on_word_edges(self, prefix):
+        np.testing.assert_array_equal(
+            seed_states(prefix, EDGE_IDS), _numpy_states(prefix, EDGE_IDS)
+        )
+
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=str)
+    def test_generator_reproduces_default_rng_stream(self, prefix):
+        for i, state in zip(EDGE_IDS, seed_states(prefix, EDGE_IDS)):
+            got, ref = rng_from_state(state), np.random.default_rng([*prefix, i])
+            assert got.bit_generator.random_raw(8).tobytes() == ref.bit_generator.random_raw(8).tobytes()
+            assert got.standard_normal(40).tobytes() == ref.standard_normal(40).tobytes()
+
+    def test_block_draw_equals_successive_draws(self):
+        (state,) = seed_states((0, 1), [12345])
+        block = rng_from_state(state).standard_normal((7, 32))
+        rng = np.random.default_rng([0, 1, 12345])
+        rows = np.stack([rng.standard_normal(32) for _ in range(7)])
+        assert block.tobytes() == rows.tobytes()
+
+    def test_negative_id_raises(self):
+        with pytest.raises(ValueError):
+            seed_states((0, 1), [3, -1])
+
+    @pytest.mark.parametrize("prefix", [(2**32, 1), (0, 2**32), (0, 1, 2)], ids=str)
+    def test_prefix_beyond_one_word_each_or_two_words_raises(self, prefix):
+        with pytest.raises(ValueError):
+            seed_states(prefix, [3])
 
 
 class TestPerceivedTags:

@@ -239,12 +239,22 @@ class TestRerankFrames:
         fp, _ = _candidate_patches(system, q, variant="bf", k=10)
         assert _rows(rerank_frames(fp, q, TEST_CFG)) == _rows(rerank_frames(fp, q, TEST_CFG))
 
-    @pytest.mark.parametrize("qid", [q.qid for q in queries_for_dataset("bellevue")])
-    def test_matches_grouped_reference(self, lovo_built, qid):
-        """Same score, box and patch per frame as the grouped ``applyInPandas`` plan."""
+    @pytest.mark.parametrize(
+        "qid, k",
+        [
+            pytest.param(q.qid, k, id=q.qid if k is None else f"{q.qid}-k{k}")
+            for q in queries_for_dataset("bellevue")
+            for k in (None, 150)
+        ],
+    )
+    def test_matches_grouped_reference(self, lovo_built, qid, k):
+        """Same score, box and patch per frame as the grouped ``applyInPandas`` plan.
+
+        At the config's own ``k`` and at k = 150, the benchmark's largest.
+        """
         system, _ = lovo_built
         q = query_by_id(qid)
-        fp, frames = _candidate_patches(system, q)
+        fp, frames = _candidate_patches(system, q, k=k)
         got = _rows(rerank_frames(fp, q, TEST_CFG))
         assert len(got) == len(frames)
         assert got == _rows(_rerank_grouped(fp, q, TEST_CFG))

@@ -11,7 +11,7 @@ from repro.index.search_bf import search_bf
 from repro.index.search_ivfpq import search_ivfpq, top_a_clusters, vote
 from repro.index.store import VectorStore
 from repro.oracle import assert_equivalent
-from repro.queries.workload import Query, query_by_id
+from repro.queries.workload import Query, queries_for_dataset, query_by_id
 from tests.conftest import TEST_CFG, spark_jobs
 
 
@@ -371,3 +371,30 @@ def test_empty_store_returns_empty_frame_with_schema(system, qvec, variant):
         got = search_hnsw(build_hnsw_shards(empty.vectors, n_shards=4), empty.meta, qvec, k=10)
     assert got.columns == ["patch_id", "video_id", "frame_idx", "pred_bbox", "score"]
     assert got.collect() == []
+
+
+#: Mean recall@k against exact search over the Bellevue Table II queries
+#: at the test config's own search settings: the value measured at test
+#: scale, rounded down to 0.05. Raise these with the index, never lower them.
+RECALL_FLOOR = {"ivfpq": 0.90, "hnsw": 0.85}
+
+
+@pytest.mark.parametrize("variant", ["ivfpq", "hnsw"])
+def test_mean_recall_vs_bruteforce_at_configured_search(system, variant):
+    """Recall@k at ``TEST_CFG``'s own ``top_a`` and ``hnsw_ef``, not at a full scan."""
+    k = TEST_CFG.k
+    search = {
+        "ivfpq": lambda q: search_ivfpq(
+            system.store, system.quant, q, top_a=TEST_CFG.top_a, k=k
+        ),
+        "hnsw": lambda q: search_hnsw(
+            system.hnsw_shards(), system.store.meta, q, k=k, ef=TEST_CFG.hnsw_ef
+        ),
+    }[variant]
+    recalls = []
+    for query in queries_for_dataset("bellevue"):
+        q = system.encode_query(query)
+        exact = {r["patch_id"] for r in search_bf(system.store, q, k=k).collect()}
+        got = {r["patch_id"] for r in search(q).collect()}
+        recalls.append(len(exact & got) / len(exact))
+    assert np.mean(recalls) >= RECALL_FLOOR[variant]
